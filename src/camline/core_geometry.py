@@ -234,14 +234,27 @@ def _normalize_uv(uv: np.ndarray, k: Intrinsics) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _distort_uv(uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients) -> np.ndarray:
-    """Vectorized distortion map for an (..., 2) pixel array."""
-    dx = uv[..., 0] - k.cx
-    dy = uv[..., 1] - k.cy
+def _distort_components(
+    u: np.ndarray, v: np.ndarray, k: Intrinsics, d: DistortionCoefficients
+) -> tuple[np.ndarray, ...]:
+    """Distortion map on pixel components, with the terms its Jacobian reuses.
+
+    Returns ``(u', v', dx, dy, r2, radial)``: the distorted components, the
+    offsets from the principal point, their squared radius and the radial
+    factor ``1 + k1*r^2 + k2*r^4 + k3*r^6``.
+    """
+    dx = u - k.cx
+    dy = v - k.cy
     r2 = dx * dx + dy * dy
     radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2 + d.k3 * r2 * r2 * r2
-    u = k.cx + dx * radial + d.p1 * (r2 + 2.0 * dx * dx) + 2.0 * d.p2 * dx * dy
-    v = k.cy + dy * radial + 2.0 * d.p1 * dx * dy + d.p2 * (r2 + 2.0 * dy * dy)
+    u_d = k.cx + dx * radial + d.p1 * (r2 + 2.0 * dx * dx) + 2.0 * d.p2 * dx * dy
+    v_d = k.cy + dy * radial + 2.0 * d.p1 * dx * dy + d.p2 * (r2 + 2.0 * dy * dy)
+    return u_d, v_d, dx, dy, r2, radial
+
+
+def _distort_uv(uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients) -> np.ndarray:
+    """Vectorized distortion map for an (..., 2) pixel array."""
+    u, v, *_ = _distort_components(uv[..., 0], uv[..., 1], k, d)
     return np.stack([u, v], axis=-1)
 
 
@@ -268,27 +281,59 @@ def _undistort_uv(
     tol: float = 1e-9,
     max_iter: int = 50,
 ) -> np.ndarray:
-    """Vectorized fixed-point inverse of :func:`_distort_uv`.
+    """Vectorized Newton inverse of :func:`_distort_uv`.
 
-    Iterates ``q <- target - (distort(q) - q)`` until every point maps back to
-    its target within ``tol`` pixels (Euclidean).  Raises
-    :class:`NonConvergent` if the iteration diverges or stalls, which happens
-    for pixels outside the lens's invertible region.
+    Starting from the target itself, each of at most ``max_iter`` rounds
+    evaluates the residual ``distort(q) - target`` and returns once every
+    point's residual is within ``tol`` pixels (Euclidean).  Otherwise it takes
+    the Newton step ``q <- q - J(q)^-1 residual``, where ``J`` is the analytic
+    Jacobian of the Brown-Conrady map (symmetric, since ``du'/dv == dv'/du``)
+    and each point's 2x2 system is solved in closed form.  With no lens the
+    first residual is zero, so one round returns the input unchanged.
+
+    Newton converges to whichever preimage it meets, so a solution is
+    accepted only on the branch that contains the principal point: the
+    radial factor and ``det J`` must both be positive there.  (With no lens
+    both are 1 everywhere, so that check is skipped.)
+
+    Raises:
+        NonConvergent: the iteration diverged, did not reach ``tol`` within
+            ``max_iter`` rounds, or found a root on a folded branch.  This
+            happens for pixels outside the lens's invertible region.
     """
     target = np.asarray(uv, dtype=float)
-    q = target.copy()
-    # Divergence shows up as overflow to inf; the isfinite check is the
-    # detector, so the transient warnings carry no information.
-    with np.errstate(over="ignore", invalid="ignore"):
+    t_u, t_v = target[..., 0], target[..., 1]
+    u, v = t_u, t_v
+    lens = any((d.k1, d.k2, d.k3, d.p1, d.p2))
+    # A singular or overflowing step shows up as a non-finite residual in the
+    # next round, which is the detector, so the transient warnings carry no
+    # information.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
-            err = _distort_uv(q, k, d) - target
-            if not np.all(np.isfinite(err)):
+            u_d, v_d, dx, dy, r2, radial = _distort_components(u, v, k, d)
+            e_u, e_v = u_d - t_u, v_d - t_v
+            worst = float(np.max(np.hypot(e_u, e_v)))
+            if not math.isfinite(worst):
                 raise NonConvergent(
                     "undistortion diverged; pixel outside the invertible lens region"
                 )
-            if float(np.max(np.hypot(err[..., 0], err[..., 1]))) <= tol:
-                return q
-            q = q - err
+            if worst <= tol and not lens:
+                return target.copy()
+            # d(radial)/d(dx) = slope2 * dx, and likewise for dy.
+            slope2 = 2.0 * d.k1 + r2 * (4.0 * d.k2 + 6.0 * d.k3 * r2)
+            j_uu = radial + slope2 * dx * dx + 6.0 * d.p1 * dx + 2.0 * d.p2 * dy
+            j_uv = slope2 * dx * dy + 2.0 * d.p1 * dy + 2.0 * d.p2 * dx
+            j_vv = radial + slope2 * dy * dy + 2.0 * d.p1 * dx + 6.0 * d.p2 * dy
+            det = j_uu * j_vv - j_uv * j_uv
+            if worst <= tol:
+                if not np.all((radial > 0.0) & (det > 0.0)):
+                    raise NonConvergent(
+                        "undistortion reached a folded branch of the lens map; "
+                        "pixel outside the invertible lens region"
+                    )
+                return np.stack([u, v], axis=-1)
+            u = u - (j_vv * e_u - j_uv * e_v) / det
+            v = v - (j_uu * e_v - j_uv * e_u) / det
     raise NonConvergent(
         f"undistortion did not reach tol={tol} px within {max_iter} iterations"
     )
@@ -303,19 +348,26 @@ def undistort(
 ) -> PixelPoint:
     """Numerically invert :func:`distort` at a single pixel.
 
+    Runs Newton's method on the analytic Jacobian of the distortion map,
+    starting from ``p`` itself, and accepts the result only on the branch
+    of the map that contains the principal point (positive radial factor
+    and Jacobian determinant).
+
     Args:
         p: Distorted pixel, assumed to lie in the invertible lens region.
         k: Intrinsics (only the principal point matters to the offsets).
         d: Distortion coefficients.
         tol: Convergence tolerance in pixels on ``distort(result) - p``.
-        max_iter: Iteration cap before giving up.
+        max_iter: Cap on residual evaluations; the last one only tests, so
+            at most ``max_iter - 1`` Newton steps are taken.
 
     Returns:
         The pixel ``q`` with ``distort(q)`` within ``tol`` pixels of ``p``.
 
     Raises:
-        NonConvergent: iteration failed to converge (extreme coefficients or
-            a pixel beyond the fold radius of the radial polynomial).
+        NonConvergent: iteration failed to converge or reached a folded
+            branch of the map (extreme coefficients, or a pixel beyond the
+            reach of the radial polynomial).
     """
     out = _undistort_uv(np.array([p.u, p.v]), k, d, tol=tol, max_iter=max_iter)
     return PixelPoint(float(out[0]), float(out[1]))

@@ -26,7 +26,8 @@ class NonConvergent(GeometryError):
     """Iterative lens undistortion failed to reach the requested tolerance.
 
     Signals extreme distortion coefficients or a pixel outside the lens's
-    invertible region (folded radial polynomial).
+    invertible region: no preimage within the iteration cap, or only one on
+    a folded branch of the radial polynomial.
     """
 
 

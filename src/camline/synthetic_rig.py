@@ -74,7 +74,7 @@ class SyntheticScene:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialReport:
     """Outcome of one rendered-and-estimated trial.
 
@@ -189,18 +189,22 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
     the failure message); they never abort the sweep.
     """
     base = config.base_scene
+    # Trial j's pose and seed depend only on (base_seed, j): draw them once
+    # and share them across every cell.
+    trials = []
+    for j in range(config.seeds_per_cell):
+        pose_rng = np.random.default_rng((config.base_seed, j))
+        roll = float(pose_rng.uniform(*config.roll_range))
+        pitch = float(pose_rng.uniform(*config.pitch_range))
+        trials.append((Orientation(roll=roll, pitch=pitch), config.base_seed + j))
     reports: list[TrialReport] = []
     for sigma in config.noise_sigmas:
         for k1_scale in config.k1_scales:
             d = replace(base.d, k1=base.d.k1 * k1_scale)
-            for j in range(config.seeds_per_cell):
-                pose_rng = np.random.default_rng((config.base_seed, j))
-                roll = float(pose_rng.uniform(*config.roll_range))
-                pitch = float(pose_rng.uniform(*config.pitch_range))
-                seed = config.base_seed + j
+            for gt, seed in trials:
                 scene = replace(
                     base,
-                    ground_truth=Orientation(roll=roll, pitch=pitch),
+                    ground_truth=gt,
                     d=d,
                     noise_sigma=sigma,
                     rng_seed=seed,
@@ -215,8 +219,8 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
                         seed=seed,
                         noise_sigma=sigma,
                         k1_scale=k1_scale,
-                        roll_gt=roll,
-                        pitch_gt=pitch,
+                        roll_gt=gt.roll,
+                        pitch_gt=gt.pitch,
                         roll_error=math.nan,
                         pitch_error=math.nan,
                         residual_z_spread=math.nan,

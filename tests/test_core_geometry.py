@@ -192,13 +192,43 @@ class TestUndistort:
         p2 = distort(q, default_k, d)
         assert math.hypot(p2.u - p.u, p2.v - p.v) < 1e-9
 
-    def test_folded_lens_raises(self):
+    @given(
+        k1=st.floats(min_value=-5e-7, max_value=5e-7),
+        p1=st.floats(min_value=-1e-6, max_value=1e-6),
+        p2=st.floats(min_value=-1e-6, max_value=1e-6),
+        radius_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_round_trip_inside_the_fold(self, k1, p1, p2, radius_fraction, phi):
+        # The ideal radius is drawn, not the distorted one: a distorted pixel
+        # beyond the lens's reach has no preimage.  For k1 < 0 the radial map
+        # folds at 1/sqrt(3|k1|); stay below 0.95 of that.  For k1 >= 0 the
+        # map never folds, so stay inside the image half-diagonal.  The
+        # negative side is also capped at the image diagonal, where the
+        # tangential terms are still small beside the radial fold margin.
+        k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
+        half_diagonal = math.hypot(640.0, 360.0)
+        if k1 < 0.0:
+            limit = min(0.95 / math.sqrt(-3.0 * k1), 2.0 * half_diagonal)
+        else:
+            limit = half_diagonal
+        r = radius_fraction * limit
+        q = PixelPoint(k.cx + r * math.cos(phi), k.cy + r * math.sin(phi))
+        d = DistortionCoefficients(k1=k1, p1=p1, p2=p2)
+        back = undistort(distort(q, k, d), k, d, max_iter=10)
+        assert math.hypot(back.u - q.u, back.v - q.v) < 1e-6
+
+    @pytest.mark.parametrize("r", [390.0, 500.0, 1e4, 1e6])
+    def test_folded_lens_raises(self, r):
         # k1 = -1e-6 folds the radial map at r = sqrt(1/(3e-6)) ~ 577 px with
-        # maximum reach (2/3)*577 ~ 385 px; a target at r=500 has no preimage.
+        # maximum reach (2/3)*577 ~ 385 px; no target beyond it has a
+        # preimage.  Far targets do have roots on the folded branch, where
+        # the radial factor is negative; those must be rejected too.
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=0.0, cy=0.0)
         d = DistortionCoefficients(k1=-1e-6)
         with pytest.raises(NonConvergent):
-            undistort(PixelPoint(500.0, 0.0), k, d)
+            undistort(PixelPoint(r, 0.0), k, d)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,27 @@ class TestSweep:
             assert r.failure is None
             assert abs(r.roll_error) < 1e-6
 
+    def test_strong_lens_cells_converge(self, base_scene):
+        # At these poses every rendered pixel has an ideal radius of at most
+        # about 878 px, inside the fold radius (913 px at scale 4), so every
+        # noise-free trial must undistort and be exact.
+        scene = replace(base_scene, d=DistortionCoefficients(k1=-1e-7, p1=1e-6))
+        reports = sweep(
+            self._config(
+                scene,
+                noise_sigmas=(0.0,),
+                k1_scales=(3.0, 4.0),
+                roll_range=(-0.1, 0.1),
+                pitch_range=(0.4, 0.8),
+                seeds_per_cell=20,
+            )
+        )
+        assert len(reports) == 40
+        for r in reports:
+            assert r.failure is None
+            assert abs(r.roll_error) < 1e-8
+            assert abs(r.pitch_error) < 1e-8
+
 
 class TestSweepCsv:
     def test_header_and_round_trip(self, base_scene, tmp_path):
