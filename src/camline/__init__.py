@@ -8,125 +8,22 @@ back-projection, closed-form roll and pitch estimators with residual
 diagnostics, and a synthetic ground-truth rig for end-to-end verification.
 """
 
-from .config import CameraConfig, dump_camera_config, load_camera_config, save_camera_config
-from .core_geometry import (
-    DistortionCoefficients,
-    Intrinsics,
-    NormalizedPoint,
-    Orientation,
-    PixelPoint,
-    Pose,
-    WorldPoint,
-    denormalize,
-    distort,
-    normalize,
-    project,
-    rotation_matrix,
-    rotation_x,
-    rotation_xz,
-    rotation_z,
-    undistort,
-)
-from .errors import (
-    BehindCamera,
-    CamlineError,
-    ConfigError,
-    DegenerateGeometry,
-    DegenerateLine,
-    GeometryError,
-    NoHorizonIntersection,
-    NonConvergent,
-    RayAwayFromPlane,
-    RayParallelToPlane,
-    TooFewVisible,
-)
-from .orientation_estimator import (
-    OrientationEstimate,
-    ReferenceLineObservation,
-    ZSpread,
-    central_pixel,
-    estimate_orientation,
-    estimate_pitch,
-    estimate_roll,
-    residual_z_spread,
-)
-from .plane_backprojection import (
-    PlanePoint,
-    SceneConstraints,
-    back_project_to_plane,
-    inverse_ray,
-    undistort_then_back_project,
-)
-from .synthetic_rig import (
-    DEFAULT_IMAGE_HEIGHT,
-    DEFAULT_IMAGE_WIDTH,
-    SWEEP_CSV_HEADER,
-    SweepConfig,
-    SyntheticScene,
-    TrialReport,
-    default_intrinsics,
-    render_line,
-    run_trial,
-    sweep,
-    write_sweep_csv,
-)
+from . import config, core_geometry, errors, orientation_estimator, plane_backprojection
+from . import synthetic_rig
+from .config import *  # noqa: F401,F403
+from .core_geometry import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .orientation_estimator import *  # noqa: F401,F403
+from .plane_backprojection import *  # noqa: F401,F403
+from .synthetic_rig import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BehindCamera",
-    "CameraConfig",
-    "CamlineError",
-    "ConfigError",
-    "DEFAULT_IMAGE_HEIGHT",
-    "DEFAULT_IMAGE_WIDTH",
-    "DegenerateGeometry",
-    "DegenerateLine",
-    "DistortionCoefficients",
-    "GeometryError",
-    "Intrinsics",
-    "NoHorizonIntersection",
-    "NonConvergent",
-    "NormalizedPoint",
-    "Orientation",
-    "OrientationEstimate",
-    "PixelPoint",
-    "PlanePoint",
-    "Pose",
-    "RayAwayFromPlane",
-    "RayParallelToPlane",
-    "ReferenceLineObservation",
-    "SWEEP_CSV_HEADER",
-    "SceneConstraints",
-    "SweepConfig",
-    "SyntheticScene",
-    "TooFewVisible",
-    "TrialReport",
-    "WorldPoint",
-    "ZSpread",
-    "back_project_to_plane",
-    "central_pixel",
-    "default_intrinsics",
-    "denormalize",
-    "distort",
-    "dump_camera_config",
-    "estimate_orientation",
-    "estimate_pitch",
-    "estimate_roll",
-    "inverse_ray",
-    "load_camera_config",
-    "normalize",
-    "project",
-    "render_line",
-    "residual_z_spread",
-    "rotation_matrix",
-    "rotation_x",
-    "rotation_xz",
-    "rotation_z",
-    "run_trial",
-    "save_camera_config",
-    "sweep",
-    "undistort",
-    "undistort_then_back_project",
-    "write_sweep_csv",
+    *config.__all__,
+    *core_geometry.__all__,
+    *errors.__all__,
+    *orientation_estimator.__all__,
+    *plane_backprojection.__all__,
+    *synthetic_rig.__all__,
 ]

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_camera_config
-from .core_geometry import Orientation, PixelPoint, Pose, WorldPoint, project, undistort
+from .core_geometry import Orientation, PixelPoint, WorldPoint, project, undistort
 from .errors import ConfigError, GeometryError
 from .orientation_estimator import ReferenceLineObservation, estimate_orientation
 from .synthetic_rig import (
@@ -52,30 +52,31 @@ def _read_line_points(path: str) -> np.ndarray:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read line file {path}: {exc}") from exc
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ConfigError(f"line file {path} is empty; expected a 'u,v' header")
-    header = [cell.strip() for cell in rows[0]]
-    if header != ["u", "v"]:
-        raise ConfigError(f"line file must start with the header 'u,v', got {rows[0]!r}")
-    data = rows[1:]
+    (_, first), *data = rows
+    if [cell.strip() for cell in first] != ["u", "v"]:
+        raise ConfigError(f"line file must start with the header 'u,v', got {first!r}")
     if len(data) < 2:
         raise ConfigError(
             f"line file must contain at least 2 data rows, got {len(data)}"
         )
+    for line_num, row in data:
+        if len(row) != 2:
+            raise ConfigError(
+                f"line file row {line_num} has {len(row)} cells; expected 2 (u,v)"
+            )
     try:
-        return np.array([[float(u), float(v)] for u, v in data])
+        return np.array([[float(u), float(v)] for _, (u, v) in data])
     except ValueError as exc:
         raise ConfigError(f"line file contains a non-numeric row: {exc}") from exc
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
-    uv = _read_line_points(args.line_points)
-    try:
-        obs = ReferenceLineObservation.from_array(uv)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    obs = ReferenceLineObservation.from_array(_read_line_points(args.line_points))
     est = estimate_orientation(obs, cfg.intrinsics, cfg.distortion, cfg.scene)
     o = est.orientation
     result = {
@@ -138,21 +139,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_project(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
-    pose = Pose(
-        Orientation(roll=math.radians(args.roll), pitch=math.radians(args.pitch))
-    )
-    p = project(WorldPoint(args.x, args.y, args.z), cfg.intrinsics, cfg.distortion, pose)
+    orientation = Orientation(roll=math.radians(args.roll), pitch=math.radians(args.pitch))
+    w = WorldPoint(args.x, args.y, args.z)
+    p = project(w, cfg.intrinsics, cfg.distortion, orientation)
     print(f"{p.u!r},{p.v!r}")
     return 0
 
 
 def _cmd_undistort(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
-    try:
-        p = PixelPoint(args.u, args.v)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    q = undistort(p, cfg.intrinsics, cfg.distortion)
+    q = undistort(PixelPoint(args.u, args.v), cfg.intrinsics, cfg.distortion)
     print(f"{q.u!r},{q.v!r}")
     return 0
 
@@ -206,10 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GeometryError as exc:

@@ -94,21 +94,9 @@ def load_camera_config(path: str | Path) -> CameraConfig:
 
     try:
         return CameraConfig(
-            intrinsics=Intrinsics(
-                fx=intr["fx"],
-                fy=intr["fy"],
-                cx=intr["cx"],
-                cy=intr["cy"],
-                skew=intr.get("skew", 0.0),
-            ),
-            distortion=DistortionCoefficients(
-                k1=dist.get("k1", 0.0),
-                k2=dist.get("k2", 0.0),
-                k3=dist.get("k3", 0.0),
-                p1=dist.get("p1", 0.0),
-                p2=dist.get("p2", 0.0),
-            ),
-            scene=SceneConstraints(c0=scene["c0"], z0=scene["z0"]),
+            intrinsics=Intrinsics(**intr),
+            distortion=DistortionCoefficients(**dist),
+            scene=SceneConstraints(**scene),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc

@@ -1,5 +1,9 @@
 """Forward camera model: intrinsics, lens distortion, rotations, projection.
 
+Each operation is one array kernel over ``(..., k)`` arrays (``_normalize_uv``,
+``_denormalize_xy``, ``_distort_uv``, ``_undistort_uv``, ``_project_uv``); the
+public functions on single points wrap them.
+
 Coordinate conventions
 ----------------------
 World frame (camera-centred):
@@ -18,10 +22,10 @@ Rotation convention
 
     world_dir = R @ camera_dir
 
-``project`` therefore uses the transpose of ``rotation_matrix(orientation)``
-as the world-to-camera block of the extrinsic transform, while the
-back-projection code applies the matrix directly to the homogeneous ray
-``(xn, yn, 1)``.  Angles are radians everywhere; roll rotates about the
+The camera sits at the world origin.  ``project`` therefore uses the
+transpose of ``rotation_matrix(orientation)`` as the world-to-camera map,
+while the back-projection code applies the matrix directly to the homogeneous
+ray ``(xn, yn, 1)``.  Angles are radians everywhere; roll rotates about the
 optical (z) axis, pitch about the lateral (x) axis, and the yaw slot is
 reserved and fixed at zero.
 
@@ -49,7 +53,6 @@ __all__ = [
     "PixelPoint",
     "NormalizedPoint",
     "Orientation",
-    "Pose",
     "WorldPoint",
     "normalize",
     "denormalize",
@@ -92,17 +95,6 @@ class Intrinsics:
         if self.fy <= 0.0:
             raise ValueError(f"fy must be > 0, got {self.fy}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix ``[[fx, skew, cx], [0, fy, cy], [0, 0, 1]]``."""
-        return np.array(
-            [
-                [self.fx, self.skew, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class DistortionCoefficients:
@@ -120,10 +112,6 @@ class DistortionCoefficients:
     def __post_init__(self) -> None:
         for name in ("k1", "k2", "k3", "p1", "p2"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    @classmethod
-    def zero(cls) -> "DistortionCoefficients":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -171,24 +159,6 @@ class Orientation:
 
 
 @dataclass(frozen=True)
-class Pose:
-    """Orientation plus a camera-frame translation (metres)."""
-
-    orientation: Orientation
-    translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        t = tuple(_require_finite("translation", v) for v in self.translation)
-        if len(t) != 3:
-            raise ValueError(f"translation must have 3 components, got {len(t)}")
-        object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(Orientation())
-
-
-@dataclass(frozen=True)
 class WorldPoint:
     """3D point in the camera-centred world frame (metres)."""
 
@@ -206,27 +176,33 @@ class WorldPoint:
 # ---------------------------------------------------------------------------
 
 
-def normalize(p: PixelPoint, k: Intrinsics) -> NormalizedPoint:
-    """Map a pixel to normalized image coordinates (inverse intrinsic map).
+def _normalize_uv(uv: np.ndarray, k: Intrinsics) -> np.ndarray:
+    """Inverse intrinsic map on an (..., 2) pixel array.
 
     Solves the upper-triangular intrinsic system exactly: ``yn`` first, then
-    ``xn`` using the skew term, so ``denormalize(normalize(p)) == p``.
+    ``xn`` using the skew term, so ``_denormalize_xy`` inverts it.
     """
-    yn = (p.v - k.cy) / k.fy
-    xn = (p.u - k.cx - k.skew * yn) / k.fx
-    return NormalizedPoint(xn, yn)
+    yn = (uv[..., 1] - k.cy) / k.fy
+    xn = (uv[..., 0] - k.cx - k.skew * yn) / k.fx
+    return np.stack([xn, yn], axis=-1)
+
+
+def _denormalize_xy(xy: np.ndarray, k: Intrinsics) -> np.ndarray:
+    """Intrinsic map on an (..., 2) array of normalized coordinates."""
+    xn, yn = xy[..., 0], xy[..., 1]
+    return np.stack([k.cx + k.fx * xn + k.skew * yn, k.cy + k.fy * yn], axis=-1)
+
+
+def normalize(p: PixelPoint, k: Intrinsics) -> NormalizedPoint:
+    """Map a pixel to normalized image coordinates (inverse intrinsic map)."""
+    xn, yn = _normalize_uv(np.array([p.u, p.v]), k)
+    return NormalizedPoint(float(xn), float(yn))
 
 
 def denormalize(n: NormalizedPoint, k: Intrinsics) -> PixelPoint:
     """Apply the intrinsic map to normalized coordinates."""
-    return PixelPoint(k.cx + k.fx * n.xn + k.skew * n.yn, k.cy + k.fy * n.yn)
-
-
-def _normalize_uv(uv: np.ndarray, k: Intrinsics) -> np.ndarray:
-    """Vectorized ``normalize`` for an (..., 2) pixel array."""
-    yn = (uv[..., 1] - k.cy) / k.fy
-    xn = (uv[..., 0] - k.cx - k.skew * yn) / k.fx
-    return np.stack([xn, yn], axis=-1)
+    u, v = _denormalize_xy(np.array([n.xn, n.yn]), k)
+    return PixelPoint(float(u), float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -417,42 +393,46 @@ def rotation_matrix(orientation: Orientation) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pixels_from_camera_frame(q: np.ndarray, k: Intrinsics) -> np.ndarray:
-    """Perspective-divide camera-frame points (N, 3) into ideal pixels (N, 2).
+def _project_uv(
+    world: np.ndarray, k: Intrinsics, d: DistortionCoefficients, orientation: Orientation
+) -> np.ndarray:
+    """Forward model on an (..., 3) array of world points: (..., 2) distorted pixels.
 
-    Rows with non-positive depth come out as NaN instead of raising.
+    Rotates the points into the camera frame, divides by depth, applies the
+    intrinsic map and then the distortion map.  Rows with depth <= 0 come out
+    as NaN instead of raising.
     """
-    z = q[..., 2]
-    z_safe = np.where(z > 0.0, z, np.nan)
-    u = (k.fx * q[..., 0] + k.skew * q[..., 1] + k.cx * z) / z_safe
-    v = (k.fy * q[..., 1] + k.cy * z) / z_safe
-    return np.stack([u, v], axis=-1)
+    cam = world @ rotation_matrix(orientation)  # rows are R.T @ w
+    z = cam[..., 2:]
+    xy = cam[..., :2] / np.where(z > 0.0, z, np.nan)
+    return _distort_uv(_denormalize_xy(xy, k), k, d)
 
 
-def project(w: WorldPoint, k: Intrinsics, d: DistortionCoefficients, pose: Pose) -> PixelPoint:
+def project(
+    w: WorldPoint, k: Intrinsics, d: DistortionCoefficients, orientation: Orientation
+) -> PixelPoint:
     """Project a world point to a (distorted) pixel.
 
-    The pipeline is: extrinsic transform into the camera frame, intrinsic map
-    and perspective divide, then the distortion map.  With the identity pose
-    and zero distortion this reduces to the plain pinhole equations
-    ``u = fx*x/z + skew*y/z + cx`` and ``v = fy*y/z + cy``.
+    The camera sits at the world origin.  The pipeline is: rotation into the
+    camera frame, perspective divide and intrinsic map, then the distortion
+    map.  With zero orientation and zero distortion this reduces to the plain
+    pinhole equations ``u = fx*x/z + skew*y/z + cx`` and ``v = fy*y/z + cy``.
 
     Args:
         w: World point in the camera-centred frame.
         k: Intrinsics.
         d: Distortion coefficients.
-        pose: Orientation plus camera-frame translation.
+        orientation: Camera orientation.
 
     Returns:
         The projected pixel, including lens distortion.
 
     Raises:
-        BehindCamera: the transformed point has depth <= 0.
+        BehindCamera: the rotated point has depth <= 0.
     """
-    m = rotation_matrix(pose.orientation)
-    q = m.T @ np.array([w.x, w.y, w.z]) + np.asarray(pose.translation, dtype=float)
-    if q[2] <= 0.0:
-        raise BehindCamera(f"point has non-positive camera depth {q[2]:.6g} m")
-    u = (k.fx * q[0] + k.skew * q[1] + k.cx * q[2]) / q[2]
-    v = (k.fy * q[1] + k.cy * q[2]) / q[2]
-    return distort(PixelPoint(float(u), float(v)), k, d)
+    q = np.array([w.x, w.y, w.z])
+    depth = float((q @ rotation_matrix(orientation))[2])
+    if depth <= 0.0:
+        raise BehindCamera(f"point has non-positive camera depth {depth:.6g} m")
+    u, v = _project_uv(q, k, d, orientation)
+    return PixelPoint(float(u), float(v))

@@ -9,6 +9,12 @@ Two families matter to callers (and to the CLI's exit codes):
   CLI exit code 2.
 """
 
+__all__ = [
+    "CamlineError", "ConfigError", "GeometryError", "NonConvergent", "BehindCamera",
+    "RayParallelToPlane", "RayAwayFromPlane", "DegenerateLine", "DegenerateGeometry",
+    "NoHorizonIntersection", "TooFewVisible",
+]
+
 
 class CamlineError(Exception):
     """Base class for all errors raised by this package."""

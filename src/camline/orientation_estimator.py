@@ -33,7 +33,7 @@ from .errors import (
     RayAwayFromPlane,
     RayParallelToPlane,
 )
-from .plane_backprojection import SceneConstraints, _plane_depths
+from .plane_backprojection import SceneConstraints, _plane_points
 
 __all__ = [
     "ReferenceLineObservation",
@@ -205,6 +205,12 @@ def _extreme_indices(und_uv: np.ndarray) -> tuple[int, int]:
     return i_lo, i_hi
 
 
+def _depth_stats(norm: np.ndarray, orientation: Orientation, c0: float) -> ZSpread:
+    """Depth spread and mean depth of normalized points (N, 2) back-projected to the plane."""
+    depths = _plane_points(norm, rotation_matrix(orientation), c0)[:, 2]
+    return ZSpread(float(depths.max() - depths.min()), float(depths.mean()))
+
+
 def estimate_orientation(
     obs: ReferenceLineObservation,
     k: Intrinsics,
@@ -243,7 +249,7 @@ def estimate_orientation(
 
     orientation = Orientation(roll=roll, pitch=pitch)
     try:
-        depths = _plane_depths(norm, rotation_matrix(orientation), sc.c0)
+        spread, mean_depth = _depth_stats(norm, orientation, sc.c0)
     except (RayParallelToPlane, RayAwayFromPlane) as exc:
         raise NoHorizonIntersection(
             f"estimated orientation sends line pixels to the horizon: {exc}"
@@ -252,8 +258,8 @@ def estimate_orientation(
     warnings = (_CENTER_FALLBACK_WARNING,) if extrapolated else ()
     return OrientationEstimate(
         orientation=orientation,
-        residual_z_spread=float(depths.max() - depths.min()),
-        residual_z_bias=float(depths.mean() - sc.z0),
+        residual_z_spread=spread,
+        residual_z_bias=mean_depth - sc.z0,
         warnings=warnings,
     )
 
@@ -271,6 +277,5 @@ def residual_z_spread(
     line pixel land at one common depth on the plane; zero spread means the
     orientation is consistent with the observation.
     """
-    und = _undistort_uv(obs.uv_array(), k, d)
-    depths = _plane_depths(_normalize_uv(und, k), rotation_matrix(orientation), c0)
-    return ZSpread(float(depths.max() - depths.min()), float(depths.mean()))
+    norm = _normalize_uv(_undistort_uv(obs.uv_array(), k, d), k)
+    return _depth_stats(norm, orientation, c0)

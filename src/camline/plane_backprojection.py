@@ -6,6 +6,9 @@ y = +c0.  A back-projected ray with a positive y component therefore descends
 toward the plane; a negative y component points above the horizon and never
 meets it.
 
+One array kernel, ``_plane_points``, intersects the rays through any number
+of normalized points with the plane; the functions on single pixels wrap it.
+
 The ``rot`` argument of every function here is the camera-to-world rotation
 (what :func:`camline.core_geometry.rotation_matrix` returns).  It is the
 transpose of the world-to-camera block used by ``project``; because rotations
@@ -24,15 +27,14 @@ from .core_geometry import (
     DistortionCoefficients,
     Intrinsics,
     PixelPoint,
-    _undistort_uv,
-    normalize,
+    _normalize_uv,
+    undistort,
 )
 from .errors import RayAwayFromPlane, RayParallelToPlane
 
 __all__ = [
     "SceneConstraints",
     "PlanePoint",
-    "inverse_ray",
     "back_project_to_plane",
     "undistort_then_back_project",
 ]
@@ -66,31 +68,27 @@ class PlanePoint:
     z: float
 
 
-def inverse_ray(p: PixelPoint, k: Intrinsics, rot: np.ndarray) -> np.ndarray:
-    """World-frame direction of the ray through a pixel.
+def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> np.ndarray:
+    """Intersect the rays through normalized points (..., 2) with the plane.
 
-    Returns ``rot @ (xn, yn, 1)`` where ``(xn, yn)`` are the normalized image
-    coordinates of ``p`` and ``rot`` is the (orthogonal) camera-to-world
-    rotation.  Applying the world-to-camera map ``rot.T`` to the result
-    recovers the homogeneous image vector.
+    Each ray is ``rot @ (xn, yn, 1)``, scaled until its y component reaches
+    ``c0``.  Returns (..., 3) world points whose ``y`` is ``c0`` exactly.
+
+    Raises:
+        RayParallelToPlane: some ray runs along the horizon (|y| < 1e-12).
+        RayAwayFromPlane: some ray points above the horizon.
     """
-    n = normalize(p, k)
-    return rot @ np.array([n.xn, n.yn, 1.0])
-
-
-def _intersect_plane(ray: np.ndarray, c0: float) -> PlanePoint:
-    """Scale a world-frame ray until its y component reaches the plane height."""
-    y = float(ray[1])
-    if abs(y) < HORIZON_EPS:
-        raise RayParallelToPlane(
-            f"ray y component {y:.3e} is below {HORIZON_EPS:g}; pixel sits on the horizon"
-        )
-    if y < 0.0:
-        raise RayAwayFromPlane(
-            f"ray y component {y:.6g} is negative; pixel lies above the horizon"
-        )
-    scale = c0 / y
-    return PlanePoint(float(ray[0]) * scale, c0, float(ray[2]) * scale)
+    rays = np.concatenate([norm, np.ones(norm.shape[:-1] + (1,))], axis=-1) @ rot.T
+    y = rays[..., 1]
+    if np.any(np.abs(y) < HORIZON_EPS):
+        n_bad = int(np.count_nonzero(np.abs(y) < HORIZON_EPS))
+        raise RayParallelToPlane(f"{n_bad} point(s) back-project along the horizon")
+    if np.any(y < 0.0):
+        n_bad = int(np.count_nonzero(y < 0.0))
+        raise RayAwayFromPlane(f"{n_bad} point(s) back-project above the horizon")
+    points = c0 * rays / y[..., None]
+    points[..., 1] = c0
+    return points
 
 
 def back_project_to_plane(
@@ -111,7 +109,8 @@ def back_project_to_plane(
         RayParallelToPlane: the ray runs along the horizon (|y| < 1e-12).
         RayAwayFromPlane: the ray points above the horizon.
     """
-    return _intersect_plane(inverse_ray(p, k, rot), c0)
+    x, y, z = _plane_points(_normalize_uv(np.array([p.u, p.v]), k), rot, c0)
+    return PlanePoint(float(x), float(y), float(z))
 
 
 def undistort_then_back_project(
@@ -123,26 +122,7 @@ def undistort_then_back_project(
 ) -> PlanePoint:
     """Remove lens distortion from ``p``, then back-project onto the plane.
 
-    Equivalent to ``back_project_to_plane(undistort(p, k, d), k, rot, c0)``;
-    raises whatever either step raises.
+    Raises whatever :func:`~camline.core_geometry.undistort` or
+    :func:`back_project_to_plane` raises.
     """
-    uv = _undistort_uv(np.array([p.u, p.v]), k, d)
-    return back_project_to_plane(PixelPoint(float(uv[0]), float(uv[1])), k, rot, c0)
-
-
-def _plane_depths(norm_xy: np.ndarray, rot: np.ndarray, c0: float) -> np.ndarray:
-    """Back-project normalized points (N, 2) and return their plane depths (N,).
-
-    Vectorized core shared with the orientation estimator; raises the same
-    horizon errors as :func:`back_project_to_plane` if *any* point fails.
-    """
-    hom = np.column_stack([norm_xy, np.ones(len(norm_xy))])
-    rays = hom @ rot.T
-    y = rays[:, 1]
-    if np.any(np.abs(y) < HORIZON_EPS):
-        n_bad = int(np.count_nonzero(np.abs(y) < HORIZON_EPS))
-        raise RayParallelToPlane(f"{n_bad} point(s) back-project along the horizon")
-    if np.any(y < 0.0):
-        n_bad = int(np.count_nonzero(y < 0.0))
-        raise RayAwayFromPlane(f"{n_bad} point(s) back-project above the horizon")
-    return c0 * rays[:, 2] / y
+    return back_project_to_plane(undistort(p, k, d), k, rot, c0)

@@ -21,9 +21,7 @@ from .core_geometry import (
     DistortionCoefficients,
     Intrinsics,
     Orientation,
-    _distort_uv,
-    _pixels_from_camera_frame,
-    rotation_matrix,
+    _project_uv,
 )
 from .errors import GeometryError, TooFewVisible
 from .orientation_estimator import ReferenceLineObservation, estimate_orientation
@@ -103,7 +101,7 @@ def render_line(
     """Render the reference line through the forward model.
 
     Projects ``n_points`` world points evenly spaced along the line through
-    the ground-truth rotation (zero translation), applies distortion, adds
+    the ground-truth rotation (camera at the origin), applies distortion, adds
     seeded Gaussian pixel noise, and keeps points inside
     ``[0, width) x [0, height)``.  Bit-identical for identical scenes.
 
@@ -114,10 +112,7 @@ def render_line(
     xs = np.linspace(-scene.line_x_extent, scene.line_x_extent, n)
     world = np.column_stack([xs, np.full(n, scene.sc.c0), np.full(n, scene.sc.z0)])
 
-    m = rotation_matrix(scene.ground_truth)
-    cam = world @ m  # rows are (m.T @ w), the camera-frame coordinates
-    ideal = _pixels_from_camera_frame(cam, scene.k)  # NaN rows for depth <= 0
-    uv = _distort_uv(ideal, scene.k, scene.d)
+    uv = _project_uv(world, scene.k, scene.d, scene.ground_truth)  # NaN rows for depth <= 0
 
     rng = np.random.default_rng(scene.rng_seed)
     uv = uv + rng.normal(0.0, scene.noise_sigma, size=(n, 2))

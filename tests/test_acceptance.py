@@ -18,7 +18,6 @@ from camline import (
     NormalizedPoint,
     Orientation,
     PixelPoint,
-    Pose,
     SceneConstraints,
     SweepConfig,
     SyntheticScene,
@@ -138,7 +137,7 @@ def test_criterion_3_projection_back_projection_round_trip(default_k):
             c0 = float(rng.uniform(0.5, 5.0))
             w = WorldPoint(float(rng.uniform(-3.0, 3.0)), c0, float(rng.uniform(0.5, 10.0)))
             try:
-                pix = project(w, default_k, d, Pose(orientation))
+                pix = project(w, default_k, d, orientation)
             except Exception:
                 continue
             if not (0.0 <= pix.u < IMAGE_W and 0.0 <= pix.v < IMAGE_H):

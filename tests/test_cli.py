@@ -80,6 +80,22 @@ class TestEstimate:
         assert rc == 1
         assert "u,v" in capsys.readouterr().err
 
+    def test_nan_row_exits_1(self, tmp_path, config_path, capsys):
+        line_csv = tmp_path / "line.csv"
+        line_csv.write_text("u,v\n100.0,500.0\nnan,510.0\n300.0,520.0\n")
+        rc = main(["estimate", config_path, str(line_csv)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: u must be finite, got nan\n"
+
+    @pytest.mark.parametrize("row, n_cells", [("100,500,7", 3), ("100", 1)])
+    def test_row_with_wrong_cell_count_is_named(self, tmp_path, config_path, capsys, row, n_cells):
+        line_csv = tmp_path / "line.csv"
+        line_csv.write_text(f"u,v\n200,510\n\n{row}\n300,520\n")
+        rc = main(["estimate", config_path, str(line_csv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line file row 4 has {n_cells} cells; expected 2 (u,v)\n"
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         bad = make_config(tmp_path, intrinsics={"fy": 0.0})
         line_csv = tmp_path / "line.csv"
@@ -198,6 +214,11 @@ class TestUndistort:
         assert main(["undistort", distorted_cfg, str(u_d), str(v_d)]) == 0
         u_u, v_u = map(float, capsys.readouterr().out.strip().split(","))
         assert math.hypot(u_u - u_i, v_u - v_i) < 1e-6
+
+    def test_nan_pixel_exits_1(self, config_path, capsys):
+        rc = main(["undistort", config_path, "nan", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: u must be finite, got nan\n"
 
     def test_pathological_lens_exits_2(self, tmp_path, capsys):
         cfg = make_config(

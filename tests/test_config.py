@@ -45,7 +45,7 @@ def test_skew_and_distortion_default_to_zero(tmp_path):
     }
     cfg = load_camera_config(write_config(tmp_path, doc))
     assert cfg.intrinsics.skew == 0.0
-    assert cfg.distortion == DistortionCoefficients.zero()
+    assert cfg.distortion == DistortionCoefficients()
 
 
 def test_unknown_top_level_field_is_named(tmp_path):

@@ -17,7 +17,6 @@ from camline import (
     NormalizedPoint,
     Orientation,
     PixelPoint,
-    Pose,
     WorldPoint,
     denormalize,
     distort,
@@ -65,22 +64,9 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="yaw"):
             Orientation(roll=0.0, pitch=0.0, yaw=0.1)
 
-    def test_pose_translation_length(self):
-        with pytest.raises(ValueError):
-            Pose(Orientation(), translation=(1.0, 2.0))
-
-    def test_zero_distortion_classmethod(self):
-        d = DistortionCoefficients.zero()
+    def test_default_distortion_is_zero(self):
+        d = DistortionCoefficients()
         assert (d.k1, d.k2, d.k3, d.p1, d.p2) == (0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_intrinsic_matrix_layout(self, default_k):
-        m = default_k.matrix
-        assert m[0, 0] == default_k.fx
-        assert m[1, 1] == default_k.fy
-        assert m[0, 2] == default_k.cx
-        assert m[1, 2] == default_k.cy
-        assert m[0, 1] == default_k.skew
-        assert np.array_equal(m[2], [0.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +145,7 @@ class TestDistort:
         # Offsets are measured from the principal point, so the identity is
         # exact only up to rounding at the principal-point magnitude.
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
-        out = distort(PixelPoint(u, v), k, DistortionCoefficients.zero())
+        out = distort(PixelPoint(u, v), k, DistortionCoefficients())
         assert out.u == pytest.approx(u, abs=1e-9)
         assert out.v == pytest.approx(v, abs=1e-9)
 
@@ -283,21 +269,21 @@ class TestRotations:
 
 class TestProject:
     def test_on_axis_point_hits_principal_point(self, default_k, zero_d):
-        p = project(WorldPoint(0.0, 0.0, 1.0), default_k, zero_d, Pose.identity())
+        p = project(WorldPoint(0.0, 0.0, 1.0), default_k, zero_d, Orientation())
         assert p == PixelPoint(640.0, 360.0)
 
     def test_similar_triangles(self, zero_d):
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=0.0, cy=0.0)
-        p = project(WorldPoint(0.5, 0.0, 1.0), k, zero_d, Pose.identity())
+        p = project(WorldPoint(0.5, 0.0, 1.0), k, zero_d, Orientation())
         assert p == PixelPoint(500.0, 0.0)
 
     def test_behind_camera_raises(self, default_k, zero_d):
         with pytest.raises(BehindCamera):
-            project(WorldPoint(0.0, 0.0, -1.0), default_k, zero_d, Pose.identity())
+            project(WorldPoint(0.0, 0.0, -1.0), default_k, zero_d, Orientation())
 
     def test_zero_depth_raises(self, default_k, zero_d):
         with pytest.raises(BehindCamera):
-            project(WorldPoint(1.0, 1.0, 0.0), default_k, zero_d, Pose.identity())
+            project(WorldPoint(1.0, 1.0, 0.0), default_k, zero_d, Orientation())
 
     def test_identity_pose_reduces_to_pinhole(self, zero_d):
         k = Intrinsics(fx=1050.0, fy=995.0, cx=633.0, cy=351.5, skew=0.7)
@@ -305,11 +291,6 @@ class TestProject:
         for _ in range(10):
             x, y = rng.uniform(-2.0, 2.0, size=2)
             z = rng.uniform(0.5, 10.0)
-            p = project(WorldPoint(x, y, z), k, zero_d, Pose.identity())
+            p = project(WorldPoint(x, y, z), k, zero_d, Orientation())
             assert p.u == pytest.approx(k.fx * x / z + k.skew * y / z + k.cx, abs=1e-12)
             assert p.v == pytest.approx(k.fy * y / z + k.cy, abs=1e-12)
-
-    def test_translation_is_applied_in_camera_frame(self, default_k, zero_d):
-        pose = Pose(Orientation(), translation=(0.0, 0.0, 1.0))
-        p = project(WorldPoint(0.0, 0.0, 1.0), default_k, zero_d, pose)
-        assert p == PixelPoint(640.0, 360.0)

@@ -13,20 +13,17 @@ from camline import (
     Intrinsics,
     Orientation,
     PixelPoint,
-    Pose,
     RayAwayFromPlane,
     RayParallelToPlane,
     SceneConstraints,
     WorldPoint,
     back_project_to_plane,
-    inverse_ray,
     project,
     rotation_matrix,
     rotation_x,
     rotation_xz,
     undistort_then_back_project,
 )
-from camline.plane_backprojection import _intersect_plane
 
 
 class TestSceneConstraints:
@@ -41,14 +38,24 @@ class TestSceneConstraints:
 
 
 class TestInverseRay:
+    """``back_project_to_plane`` lands on the pixel's inverse ray ``rot @ (xn, yn, 1)``."""
+
     def test_identity_rotation_optical_axis(self, default_k):
-        ray = inverse_ray(PixelPoint(default_k.cx, default_k.cy), default_k, np.eye(3))
-        assert np.allclose(ray, [0.0, 0.0, 1.0], atol=1e-15)
+        # Unrotated, the column through the principal point keeps x = 0, and a
+        # pixel fy/2 below the optical axis reaches the plane at z = 2 * c0.
+        p = back_project_to_plane(
+            PixelPoint(default_k.cx, default_k.cy + default_k.fy / 2), default_k, np.eye(3), 2.0
+        )
+        assert (p.x, p.y, p.z) == (0.0, 2.0, 4.0)
 
     def test_pitched_camera_optical_axis(self, default_k):
         theta = 0.4
-        ray = inverse_ray(PixelPoint(default_k.cx, default_k.cy), default_k, rotation_x(theta))
-        assert np.allclose(ray, [0.0, math.sin(theta), math.cos(theta)], atol=1e-15)
+        p = back_project_to_plane(
+            PixelPoint(default_k.cx, default_k.cy), default_k, rotation_x(theta), 2.0
+        )
+        assert p.x == pytest.approx(0.0, abs=1e-15)
+        assert p.y == 2.0
+        assert p.z == pytest.approx(2.0 / math.tan(theta), abs=1e-12)
 
     @given(
         theta=st.floats(min_value=-1.2, max_value=1.2),
@@ -58,14 +65,18 @@ class TestInverseRay:
     )
     @settings(deadline=None)
     def test_world_to_camera_recovers_homogeneous_pixel(self, theta, lam, u, v):
-        # Applying the world-to-camera map (the transpose) to the result must
-        # give back the homogeneous normalized vector.
+        # Applying the world-to-camera map (the transpose) to the plane point
+        # must give a multiple of the homogeneous normalized vector.
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
         rot = rotation_xz(theta, lam)
-        ray = inverse_ray(PixelPoint(u, v), k, rot)
         xn = (u - k.cx) / k.fx
         yn = (v - k.cy) / k.fy
-        assert np.allclose(rot.T @ ray, [xn, yn, 1.0], atol=1e-12)
+        ray_y = (rot @ [xn, yn, 1.0])[1]
+        if ray_y < 1e-6:
+            return  # at or above the horizon: no plane point to test
+        p = back_project_to_plane(PixelPoint(u, v), k, rot, 2.0)
+        cam = rot.T @ [p.x, p.y, p.z]
+        assert np.allclose(cam / cam[2], [xn, yn, 1.0], atol=1e-12)
 
 
 class TestBackProjectToPlane:
@@ -103,22 +114,11 @@ class TestBackProjectToPlane:
     @settings(deadline=None)
     def test_height_is_exact_by_construction(self, theta, u, v, c0):
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
-        ray = inverse_ray(PixelPoint(u, v), k, rotation_x(theta))
+        ray = rotation_x(theta) @ [(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0]
         if ray[1] < 1e-6:
             return  # too close to the horizon to be a meaningful sample
         p = back_project_to_plane(PixelPoint(u, v), k, rotation_x(theta), c0)
         assert p.y == c0
-
-    def test_scaling_the_ray_leaves_intersection_unchanged(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            ray = np.array([rng.uniform(-1, 1), rng.uniform(0.05, 1.0), rng.uniform(0.1, 2.0)])
-            scale = rng.uniform(1e-3, 1e3)
-            a = _intersect_plane(ray, 2.0)
-            b = _intersect_plane(ray * scale, 2.0)
-            assert a.x == pytest.approx(b.x, abs=1e-12)
-            assert a.z == pytest.approx(b.z, abs=1e-12)
-            assert a.y == b.y == 2.0
 
 
 class TestUndistortThenBackProject:
@@ -142,7 +142,7 @@ class TestUndistortThenBackProject:
             w = WorldPoint(rng.uniform(-3.0, 3.0), c0, rng.uniform(0.5, 10.0))
             rot = rotation_matrix(orientation)
             try:
-                pix = project(w, default_k, mild_d, Pose(orientation))
+                pix = project(w, default_k, mild_d, orientation)
             except Exception:
                 continue
             if not (0 <= pix.u < 1280 and 0 <= pix.v < 720):
@@ -163,7 +163,7 @@ class TestUndistortThenBackProject:
             c0 = rng.uniform(0.5, 5.0)
             w = WorldPoint(rng.uniform(-3.0, 3.0), c0, rng.uniform(0.5, 10.0))
             try:
-                pix = project(w, default_k, zero_d, Pose(orientation))
+                pix = project(w, default_k, zero_d, orientation)
             except Exception:
                 continue
             got = undistort_then_back_project(
@@ -176,7 +176,7 @@ class TestUndistortThenBackProject:
     def test_above_horizon_after_undistortion(self, default_k, zero_d):
         # A point above the camera projects fine but its ray never descends.
         orientation = Orientation(roll=0.0, pitch=0.3)
-        pix = project(WorldPoint(0.0, -1.0, 5.0), default_k, zero_d, Pose(orientation))
+        pix = project(WorldPoint(0.0, -1.0, 5.0), default_k, zero_d, orientation)
         with pytest.raises(RayAwayFromPlane):
             undistort_then_back_project(
                 pix, default_k, zero_d, rotation_matrix(orientation), 2.0
