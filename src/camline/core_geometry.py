@@ -228,6 +228,24 @@ def _distort_components(
     return u_d, v_d, dx, dy, r2, radial
 
 
+def _distort_jacobian(
+    dx: np.ndarray, dy: np.ndarray, r2: np.ndarray, radial: np.ndarray, d: DistortionCoefficients
+) -> tuple[np.ndarray, ...]:
+    """Jacobian of the distortion map from the terms :func:`_distort_components` returns.
+
+    Returns ``(j_uu, j_uv, j_vv, det, unfolded)``: the symmetric Jacobian, its
+    determinant, and where the radial factor and ``det`` are both positive,
+    which marks the branch of the map that holds the principal point.
+    """
+    # d(radial)/d(dx) = slope2 * dx, and likewise for dy.
+    slope2 = 2.0 * d.k1 + r2 * (4.0 * d.k2 + 6.0 * d.k3 * r2)
+    j_uu = radial + slope2 * dx * dx + 6.0 * d.p1 * dx + 2.0 * d.p2 * dy
+    j_uv = slope2 * dx * dy + 2.0 * d.p1 * dy + 2.0 * d.p2 * dx
+    j_vv = radial + slope2 * dy * dy + 2.0 * d.p1 * dx + 6.0 * d.p2 * dy
+    det = j_uu * j_vv - j_uv * j_uv
+    return j_uu, j_uv, j_vv, det, (radial > 0.0) & (det > 0.0)
+
+
 def _distort_uv(uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients) -> np.ndarray:
     """Vectorized distortion map for an (..., 2) pixel array."""
     u, v, *_ = _distort_components(uv[..., 0], uv[..., 1], k, d)
@@ -295,14 +313,9 @@ def _undistort_uv(
                 )
             if worst <= tol and not lens:
                 return target.copy()
-            # d(radial)/d(dx) = slope2 * dx, and likewise for dy.
-            slope2 = 2.0 * d.k1 + r2 * (4.0 * d.k2 + 6.0 * d.k3 * r2)
-            j_uu = radial + slope2 * dx * dx + 6.0 * d.p1 * dx + 2.0 * d.p2 * dy
-            j_uv = slope2 * dx * dy + 2.0 * d.p1 * dy + 2.0 * d.p2 * dx
-            j_vv = radial + slope2 * dy * dy + 2.0 * d.p1 * dx + 6.0 * d.p2 * dy
-            det = j_uu * j_vv - j_uv * j_uv
+            j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)
             if worst <= tol:
-                if not np.all((radial > 0.0) & (det > 0.0)):
+                if not np.all(unfolded):
                     raise NonConvergent(
                         "undistortion reached a folded branch of the lens map; "
                         "pixel outside the invertible lens region"

@@ -2,10 +2,10 @@
 
 Inputs are pixel samples along a straight scene line at known camera height
 ``c0`` and known depth ``z0`` (see :class:`~camline.plane_backprojection.SceneConstraints`).
-Roll comes from the image angle of the line; pitch from where the line
-crosses the image-centre column.  A residual diagnostic back-projects every
-sample onto the plane and reports how far the recovered depths are from being
-constant and from ``z0``.
+One orthogonal-regression line is fitted through every undistorted sample:
+roll is its image angle, pitch comes from its de-rolled height.  A residual
+diagnostic back-projects every sample onto the plane and reports how far the
+recovered depths are from being constant and from ``z0``.
 """
 
 from __future__ import annotations
@@ -46,19 +46,9 @@ __all__ = [
     "residual_z_spread",
 ]
 
-_HALF_PI = math.pi / 2.0
-
 # Normalized-coordinate separation below which two points cannot define a
 # line direction.
 _MIN_SEPARATION = 1e-9
-
-# Minimum pixel separation of the two extreme (min/max u) line points.
-_MIN_EXTREME_SPAN_PX = 1.0
-
-_CENTER_FALLBACK_WARNING = (
-    "reference line does not bracket the image-centre column; "
-    "nearest point used for the pitch estimate"
-)
 
 
 @dataclass(frozen=True)
@@ -98,6 +88,7 @@ class OrientationEstimate:
     ``residual_z_spread`` is max - min of the back-projected depth over all
     line pixels (0 for a perfect estimate on noise-free input);
     ``residual_z_bias`` is the mean back-projected depth minus ``z0``.
+    ``warnings`` is reserved for notes on how the estimate was obtained.
     """
 
     orientation: Orientation
@@ -114,35 +105,28 @@ class ZSpread(NamedTuple):
 def estimate_roll(p1: NormalizedPoint, p2: NormalizedPoint) -> float:
     """Roll angle from two normalized line points: the image angle of the line.
 
-    Uses the two-argument arctangent of (yn1 - yn2, xn1 - xn2), wrapped into
-    (-pi/2, pi/2] since a line's direction carries no orientation sign; the
-    result is therefore independent of the point order.
+    The two-point case of the line fit :func:`estimate_orientation` uses,
+    wrapped into (-pi/2, pi/2] since a line's direction carries no
+    orientation sign; the result is therefore independent of the point order.
 
     Raises:
         DegenerateLine: the points are closer than 1e-9 in normalized units.
     """
-    dx = p1.xn - p2.xn
-    dy = p1.yn - p2.yn
-    if math.hypot(dx, dy) < _MIN_SEPARATION:
+    if math.hypot(p1.xn - p2.xn, p1.yn - p2.yn) < _MIN_SEPARATION:
         raise DegenerateLine(
             f"line points are separated by less than {_MIN_SEPARATION:g} "
             "in normalized coordinates"
         )
-    angle = math.atan2(dy, dx)
-    if angle > _HALF_PI:
-        angle -= math.pi
-    elif angle <= -_HALF_PI:
-        angle += math.pi
-    return angle
+    return _fit_line(np.array([[p1.xn, p1.yn], [p2.xn, p2.yn]]))[0]
 
 
 def estimate_pitch(y0_normalized: float, sc: SceneConstraints) -> float:
     """Pitch angle from the normalized height of the line's central pixel.
 
     Evaluates ``atan((c0 - z0*y') / (z0 + c0*y'))`` with ``y'`` the
-    normalized y of the point where the line crosses the image-centre column.
-    Back-projecting that central pixel through ``rotation_x(result)`` lands at
-    depth ``z0`` exactly.
+    normalized y of the point where the line crosses the image-centre column
+    (for a rolled camera, the line's de-rolled height).  Back-projecting that
+    central pixel through ``rotation_x(result)`` lands at depth ``z0`` exactly.
 
     Raises:
         DegenerateGeometry: the denominator ``z0 + c0*y'`` vanishes, i.e. the
@@ -157,52 +141,31 @@ def estimate_pitch(y0_normalized: float, sc: SceneConstraints) -> float:
     return math.atan(num / den)
 
 
-def _interpolate_center(norm_xy: np.ndarray) -> tuple[NormalizedPoint, bool]:
-    """Point where the (undistorted, normalized) line crosses xn = 0.
+def _fit_line(norm: np.ndarray) -> tuple[float, float]:
+    """Orthogonal-regression line through normalized points (N, 2).
 
-    Linear interpolation between the two points bracketing the centre column;
-    a point exactly on the column is returned as-is.  When the observed span
-    does not bracket xn = 0 the nearest point by |xn| is returned together
-    with ``True`` so callers can flag the extrapolation.
+    Returns ``(roll, height)``: the angle ``0.5*atan2(2*Sxy, Sxx - Syy)`` of
+    the centred scatter's principal axis, wrapped into (-pi/2, pi/2], and the
+    de-rolled height ``cos(roll)*yn - sin(roll)*xn`` of the centroid, which
+    every point of the fitted line shares (Pearson 1901).
     """
-    xs = norm_xy[:, 0]
-    ys = norm_xy[:, 1]
-    exact = np.flatnonzero(xs == 0.0)
-    if exact.size:
-        return NormalizedPoint(0.0, float(ys[exact[0]])), False
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    ys_sorted = ys[order]
-    idx = int(np.searchsorted(xs_sorted, 0.0))
-    if 0 < idx < len(xs_sorted):
-        xa, xb = xs_sorted[idx - 1], xs_sorted[idx]
-        ya, yb = ys_sorted[idx - 1], ys_sorted[idx]
-        t = (0.0 - xa) / (xb - xa)
-        return NormalizedPoint(0.0, float(ya + t * (yb - ya))), False
-    nearest = int(np.argmin(np.abs(xs)))
-    return NormalizedPoint(float(xs[nearest]), float(ys[nearest])), True
+    centroid = norm.mean(axis=0)
+    centred = norm - centroid
+    (sxx, sxy), (_, syy) = (centred.T @ centred).tolist()
+    roll = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+    if roll <= -math.pi / 2:
+        roll += math.pi
+    x_mean, y_mean = centroid.tolist()
+    return roll, math.cos(roll) * y_mean - math.sin(roll) * x_mean
 
 
 def central_pixel(
     obs: ReferenceLineObservation, k: Intrinsics, d: DistortionCoefficients
 ) -> NormalizedPoint:
-    """Undistort the observation and locate its crossing of the centre column."""
+    """Undistort the observation, fit its line and return the fitted line's crossing of xn = 0."""
     und = _undistort_uv(obs.uv_array(), k, d)
-    point, _ = _interpolate_center(_normalize_uv(und, k))
-    return point
-
-
-def _extreme_indices(und_uv: np.ndarray) -> tuple[int, int]:
-    """Indices of the min-u and max-u undistorted pixels, checked for spread."""
-    i_lo = int(np.argmin(und_uv[:, 0]))
-    i_hi = int(np.argmax(und_uv[:, 0]))
-    span = float(np.hypot(*(und_uv[i_hi] - und_uv[i_lo])))
-    if span <= _MIN_EXTREME_SPAN_PX:
-        raise DegenerateLine(
-            f"extreme line pixels are {span:.3g} px apart; "
-            f"they must be more than {_MIN_EXTREME_SPAN_PX:g} px apart"
-        )
-    return i_lo, i_hi
+    roll, height = _fit_line(_normalize_uv(und, k))
+    return NormalizedPoint(0.0, height / math.cos(roll))
 
 
 def _depth_stats(norm: np.ndarray, orientation: Orientation, c0: float) -> ZSpread:
@@ -219,33 +182,28 @@ def estimate_orientation(
 ) -> OrientationEstimate:
     """Estimate roll and pitch from a reference-line observation.
 
-    Pipeline: undistort all pixels; take the two extreme points (min/max u)
-    for the roll estimate; interpolate the centre-column crossing and feed its
-    de-rolled height ``cos(roll)*yn - sin(roll)*xn`` to the pitch formula (the
-    raw height is exact only for a roll-free camera; the de-rolled height of a
-    line point is invariant along the line, so this stays exact even when the
-    centre column is not bracketed); then back-project every pixel through the
-    combined rotation to fill in the depth residuals.
+    Pipeline: undistort all pixels; fit one orthogonal-regression line through
+    all of them in normalized coordinates, whose angle is the roll; feed its
+    de-rolled height ``cos(roll)*yn - sin(roll)*xn``, the same at every point
+    of the line, to the pitch formula; then back-project every pixel through
+    the combined rotation to fill in the depth residuals.  On two pixels this
+    is the two-point formula of :func:`estimate_roll` and :func:`estimate_pitch`.
 
     Raises:
         NonConvergent: a pixel could not be undistorted.
-        DegenerateLine: the extreme points are too close together.
+        DegenerateLine: the undistorted pixels span a bounding box whose
+            diagonal is 1 px or less.
         DegenerateGeometry: the pitch denominator vanishes.
         NoHorizonIntersection: some pixel back-projects at or above the
             horizon under the estimated rotation (grossly wrong inputs).
     """
     und = _undistort_uv(obs.uv_array(), k, d)
+    span = float(np.hypot(*np.ptp(und, axis=0)))
+    if span <= 1.0:
+        raise DegenerateLine(f"line pixels span {span:.3g} px; they must span more than 1 px")
     norm = _normalize_uv(und, k)
-
-    i_lo, i_hi = _extreme_indices(und)
-    roll = estimate_roll(
-        NormalizedPoint(float(norm[i_lo, 0]), float(norm[i_lo, 1])),
-        NormalizedPoint(float(norm[i_hi, 0]), float(norm[i_hi, 1])),
-    )
-
-    center, extrapolated = _interpolate_center(norm)
-    deroll_height = math.cos(roll) * center.yn - math.sin(roll) * center.xn
-    pitch = estimate_pitch(deroll_height, sc)
+    roll, height = _fit_line(norm)
+    pitch = estimate_pitch(height, sc)
 
     orientation = Orientation(roll=roll, pitch=pitch)
     try:
@@ -255,13 +213,7 @@ def estimate_orientation(
             f"estimated orientation sends line pixels to the horizon: {exc}"
         ) from exc
 
-    warnings = (_CENTER_FALLBACK_WARNING,) if extrapolated else ()
-    return OrientationEstimate(
-        orientation=orientation,
-        residual_z_spread=spread,
-        residual_z_bias=mean_depth - sc.z0,
-        warnings=warnings,
-    )
+    return OrientationEstimate(orientation, spread, mean_depth - sc.z0)
 
 
 def residual_z_spread(

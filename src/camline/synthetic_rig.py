@@ -21,6 +21,8 @@ from .core_geometry import (
     DistortionCoefficients,
     Intrinsics,
     Orientation,
+    _distort_components,
+    _distort_jacobian,
     _project_uv,
 )
 from .errors import GeometryError, TooFewVisible
@@ -103,7 +105,9 @@ def render_line(
     Projects ``n_points`` world points evenly spaced along the line through
     the ground-truth rotation (camera at the origin), applies distortion, adds
     seeded Gaussian pixel noise, and keeps points inside
-    ``[0, width) x [0, height)``.  Bit-identical for identical scenes.
+    ``[0, width) x [0, height)`` whose ideal pixel is on the unfolded branch
+    of the lens map (past the fold, undistortion finds a different point).
+    Bit-identical for identical scenes.
 
     Raises:
         TooFewVisible: fewer than 2 points land inside the image.
@@ -112,18 +116,16 @@ def render_line(
     xs = np.linspace(-scene.line_x_extent, scene.line_x_extent, n)
     world = np.column_stack([xs, np.full(n, scene.sc.c0), np.full(n, scene.sc.z0)])
 
-    uv = _project_uv(world, scene.k, scene.d, scene.ground_truth)  # NaN rows for depth <= 0
+    # NaN rows for depth <= 0, which are off the unfolded branch.
+    ideal = _project_uv(world, scene.k, DistortionCoefficients(), scene.ground_truth)
+    u, v, *terms = _distort_components(ideal[:, 0], ideal[:, 1], scene.k, scene.d)
+    unfolded = _distort_jacobian(*terms, scene.d)[4]
 
     rng = np.random.default_rng(scene.rng_seed)
-    uv = uv + rng.normal(0.0, scene.noise_sigma, size=(n, 2))
+    uv = np.column_stack([u, v]) + rng.normal(0.0, scene.noise_sigma, size=(n, 2))
 
-    keep = (
-        np.isfinite(uv).all(axis=1)
-        & (uv[:, 0] >= 0.0)
-        & (uv[:, 0] < image_width)
-        & (uv[:, 1] >= 0.0)
-        & (uv[:, 1] < image_height)
-    )
+    inside = (uv >= 0.0) & (uv < (image_width, image_height))
+    keep = unfolded & inside.all(axis=1)
     n_visible = int(np.count_nonzero(keep))
     if n_visible < 2:
         raise TooFewVisible(
@@ -236,11 +238,15 @@ SWEEP_CSV_HEADER = (
     "pitch_error",
     "residual_z_spread",
     "n_visible",
+    "failure",
 )
 
 
 def write_sweep_csv(reports: list[TrialReport], path: str | Path) -> None:
-    """Write one CSV row per report with the fixed header, full float precision."""
+    """Write one CSV row per report with the fixed header, full float precision.
+
+    ``failure`` is empty for a trial that succeeded.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_CSV_HEADER)
@@ -256,5 +262,6 @@ def write_sweep_csv(reports: list[TrialReport], path: str | Path) -> None:
                     repr(float(r.pitch_error)),
                     repr(float(r.residual_z_spread)),
                     r.n_visible,
+                    r.failure or "",
                 ]
             )

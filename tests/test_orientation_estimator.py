@@ -27,6 +27,7 @@ from camline import (
     estimate_orientation,
     estimate_pitch,
     estimate_roll,
+    normalize,
     render_line,
     residual_z_spread,
     rotation_x,
@@ -160,12 +161,15 @@ class TestCentralPixel:
         assert got.xn == want.xn == 0.0
         assert got.yn == pytest.approx(want.yn, abs=1e-6)
 
-    def test_fallback_when_line_does_not_cross_centre(self, default_k, zero_d):
+    def test_crossing_of_line_right_of_centre(self, default_k, zero_d):
+        # Normalized points (0.26, 0.05), (0.36, 0.055), (0.46, 0.06): slope
+        # 0.05, so the line crosses xn = 0 at yn = 0.05 - 0.26 * 0.05.
         obs = ReferenceLineObservation.from_array(
             np.array([[900.0, 410.0], [1000.0, 415.0], [1100.0, 420.0]])
         )
         got = central_pixel(obs, default_k, zero_d)
-        assert got.xn == pytest.approx((900.0 - 640.0) / 1000.0, abs=1e-15)
+        assert got.xn == pytest.approx(0.0, abs=1e-12)
+        assert got.yn == pytest.approx(0.037, abs=1e-12)
 
 
 class TestEstimateOrientation:
@@ -190,20 +194,15 @@ class TestEstimateOrientation:
         assert est.orientation.roll == pytest.approx(0.05, abs=1e-6)
         assert est.orientation.pitch == pytest.approx(0.35, abs=1e-6)
 
-    def test_pitch_depends_only_on_central_pixel(self, default_k, zero_d, sc):
-        # Holding the exact-centre pixel fixed while moving the extremes must
-        # leave the pitch estimate bitwise unchanged (horizontal line, so the
-        # roll stays 0.0 in both observations).
-        centre = [640.0, 430.0]
-        obs_a = ReferenceLineObservation.from_array(
-            np.array([[440.0, 430.0], centre, [840.0, 430.0]])
-        )
-        obs_b = ReferenceLineObservation.from_array(
-            np.array([[390.0, 430.0], centre, [1040.0, 430.0]])
-        )
-        est_a = estimate_orientation(obs_a, default_k, zero_d, sc)
-        est_b = estimate_orientation(obs_b, default_k, zero_d, sc)
-        assert est_a.orientation.pitch == est_b.orientation.pitch
+    def test_pitch_does_not_depend_on_sampling(self, default_k, zero_d, sc):
+        # The de-rolled height is the same at every point of the line, so
+        # where along it the pixels fall must not move the estimate.
+        scene_a = _scene(0.07, 0.5, default_k, sc=sc, line_x_extent=3.0, n_points=101)
+        scene_b = replace(scene_a, line_x_extent=0.8, n_points=7)
+        est_a = estimate_orientation(render_line(scene_a), default_k, zero_d, sc)
+        est_b = estimate_orientation(render_line(scene_b), default_k, zero_d, sc)
+        assert est_a.orientation.pitch == pytest.approx(est_b.orientation.pitch, abs=1e-12)
+        assert est_a.orientation.roll == pytest.approx(est_b.orientation.roll, abs=1e-12)
 
     def test_extremes_too_close_raise(self, default_k, zero_d, sc):
         obs = ReferenceLineObservation.from_array(
@@ -221,16 +220,54 @@ class TestEstimateOrientation:
         with pytest.raises(NoHorizonIntersection):
             estimate_orientation(obs, default_k, zero_d, sc)
 
-    def test_fallback_centre_sets_warning(self, default_k, zero_d):
-        # Line entirely on one side of the centre column: still estimable,
-        # but flagged.
-        sc = SceneConstraints(c0=2.0, z0=3.0)
+    def test_line_right_of_centre_is_recovered(self, default_k, zero_d, sc):
+        # Only the pixels well right of the centre column: the fitted line
+        # still carries the exact de-rolled height, with nothing to warn about.
+        scene = _scene(0.05, 0.35, default_k, sc=sc)
+        uv = render_line(scene).uv_array()
+        obs = ReferenceLineObservation.from_array(uv[uv[:, 0] > default_k.cx + 100.0])
+        est = estimate_orientation(obs, default_k, zero_d, sc)
+        assert est.orientation.roll == pytest.approx(0.05, abs=1e-9)
+        assert est.orientation.pitch == pytest.approx(0.35, abs=1e-9)
+        assert est.warnings == ()
+
+    def test_one_pixel_noise_uses_every_pixel(self, default_k, zero_d, sc):
+        # The fit gives RMS errors of about 3e-4 (roll) and 1.2e-4 rad (pitch)
+        # here; reading roll from the two extreme pixels and pitch from the two
+        # pixels beside the centre column gives about 1.1e-3 and 8.4e-4.
+        rng = np.random.default_rng(77)
+        roll_err, pitch_err = [], []
+        for seed in range(200):
+            roll, pitch = rng.uniform(-0.1, 0.1), rng.uniform(0.4, 0.8)
+            scene = _scene(roll, pitch, default_k, sc=sc, noise_sigma=1.0, rng_seed=seed)
+            est = estimate_orientation(render_line(scene), default_k, zero_d, sc)
+            roll_err.append(est.orientation.roll - roll)
+            pitch_err.append(est.orientation.pitch - pitch)
+        assert math.sqrt(np.mean(np.square(roll_err))) < 6e-4
+        assert math.sqrt(np.mean(np.square(pitch_err))) < 4e-4
+
+    def test_two_pixels_reduce_to_the_two_point_formulas(self, default_k, zero_d, sc):
+        obs = ReferenceLineObservation.from_array(np.array([[520.0, 470.0], [810.0, 505.0]]))
+        p1, p2 = (normalize(p, default_k) for p in obs.pixels)
+        est = estimate_orientation(obs, default_k, zero_d, sc)
+        roll = est.orientation.roll
+        assert roll == estimate_roll(p1, p2)
+        for p in (p1, p2):
+            height = math.cos(roll) * p.yn - math.sin(roll) * p.xn
+            assert est.orientation.pitch == pytest.approx(estimate_pitch(height, sc), abs=1e-12)
+
+    def test_duplicated_pixels_raise(self, default_k, zero_d, sc):
+        obs = ReferenceLineObservation.from_array(np.tile([700.0, 450.0], (5, 1)))
+        with pytest.raises(DegenerateLine):
+            estimate_orientation(obs, default_k, zero_d, sc)
+
+    def test_vertical_line_gives_half_pi(self, default_k, zero_d, sc):
         obs = ReferenceLineObservation.from_array(
-            np.array([[900.0, 500.0], [1100.0, 500.0]])
+            np.array([[700.0, 420.0], [700.0, 460.0], [700.0, 500.0]])
         )
         est = estimate_orientation(obs, default_k, zero_d, sc)
-        assert len(est.warnings) == 1
-        assert "centre" in est.warnings[0]
+        assert est.orientation.roll == pytest.approx(math.pi / 2, abs=1e-12)
+        assert est.residual_z_spread > 0.0
 
 
 class TestResidualZSpread:

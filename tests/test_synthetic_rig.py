@@ -116,6 +116,21 @@ class TestRenderLine:
             assert p.x == pytest.approx(x_true, abs=1e-6)
             assert p.z == pytest.approx(sc.z0, abs=1e-6)
 
+    def test_points_past_the_fold_are_dropped(self, sc):
+        # At this pose 4 of the 101 points have an ideal radius beyond the
+        # fold radius 1/sqrt(3|k1|) = 913 px; distortion folds them back into
+        # the image, where undistortion would return other points.
+        scene = SyntheticScene(
+            ground_truth=Orientation(roll=0.0033794683234061873, pitch=0.8996420761884567),
+            sc=sc,
+            k=default_intrinsics(),
+            d=DistortionCoefficients(k1=-4e-7, p1=1e-6),
+        )
+        report = run_trial(scene)
+        assert report.n_visible < scene.n_points
+        assert abs(report.roll_error) < 1e-8
+        assert abs(report.pitch_error) < 1e-8
+
 
 class TestRunTrial:
     def test_zero_noise_is_closed_form_exact(self, base_scene):
@@ -241,6 +256,25 @@ class TestSweepCsv:
             assert float(row["roll_error"]) == report.roll_error
             assert float(row["pitch_error"]) == report.pitch_error
             assert int(row["n_visible"]) == report.n_visible
+            assert row["failure"] == ""
+
+    def test_failure_round_trips(self, base_scene, tmp_path):
+        # Pitch range around zero: the camera never sees the line.
+        reports = sweep(
+            SweepConfig(
+                base_scene=base_scene,
+                noise_sigmas=(0.0,),
+                roll_range=(-0.05, 0.05),
+                pitch_range=(0.0, 0.001),
+                seeds_per_cell=2,
+            )
+        )
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(reports, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["failure"] for row in rows] == [r.failure for r in reports]
+        assert all(row["failure"].startswith("TooFewVisible: ") for row in rows)
 
     def test_writing_is_deterministic(self, base_scene, tmp_path):
         reports = sweep(
