@@ -8,13 +8,11 @@ back-projection, closed-form roll and pitch estimators with residual
 diagnostics, and a synthetic ground-truth rig for end-to-end verification.
 """
 
-from . import config, core_geometry, errors, orientation_estimator, plane_backprojection
-from . import synthetic_rig
+from . import config, core_geometry, errors, orientation_estimator, synthetic_rig
 from .config import *  # noqa: F401,F403
 from .core_geometry import *  # noqa: F401,F403
 from .errors import *  # noqa: F401,F403
 from .orientation_estimator import *  # noqa: F401,F403
-from .plane_backprojection import *  # noqa: F401,F403
 from .synthetic_rig import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
@@ -24,6 +22,5 @@ __all__ = [
     *core_geometry.__all__,
     *errors.__all__,
     *orientation_estimator.__all__,
-    *plane_backprojection.__all__,
     *synthetic_rig.__all__,
 ]

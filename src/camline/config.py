@@ -10,9 +10,7 @@ A config is a single JSON document with three sections::
 
 ``skew`` and the whole ``distortion`` section are optional (default 0);
 everything else is required.  Unknown fields anywhere are rejected by name so
-typos in coefficient names cannot silently become zeros.  The distortion
-section is serialized in the conventional five-coefficient order
-(k1, k2, p1, p2, k3) so existing calibration files drop in unmodified.
+typos in coefficient names cannot silently become zeros.
 """
 
 from __future__ import annotations
@@ -21,15 +19,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core_geometry import DistortionCoefficients, Intrinsics
+from .core_geometry import DistortionCoefficients, Intrinsics, SceneConstraints
 from .errors import ConfigError
-from .plane_backprojection import SceneConstraints
 
-__all__ = ["CameraConfig", "load_camera_config", "dump_camera_config", "save_camera_config"]
+__all__ = ["CameraConfig", "load_camera_config"]
 
 _INTRINSICS_REQUIRED = ("fx", "fy", "cx", "cy")
 _INTRINSICS_OPTIONAL = ("skew",)
-_DISTORTION_KEYS = ("k1", "k2", "p1", "p2", "k3")  # serialization order
+_DISTORTION_KEYS = ("k1", "k2", "p1", "p2", "k3")
 _SCENE_REQUIRED = ("c0", "z0")
 
 
@@ -100,18 +97,3 @@ def load_camera_config(path: str | Path) -> CameraConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-
-
-def dump_camera_config(config: CameraConfig) -> dict:
-    """Config as a JSON-ready dict with the documented key order."""
-    k = config.intrinsics
-    d = config.distortion
-    return {
-        "intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "skew": k.skew},
-        "distortion": {name: getattr(d, name) for name in _DISTORTION_KEYS},
-        "scene": {"c0": config.scene.c0, "z0": config.scene.z0},
-    }
-
-
-def save_camera_config(config: CameraConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dump_camera_config(config), indent=2) + "\n")

@@ -1,8 +1,9 @@
 """Forward camera model: intrinsics, lens distortion, rotations, projection.
 
 Each operation is one array kernel over ``(..., k)`` arrays (``_normalize_uv``,
-``_denormalize_xy``, ``_distort_uv``, ``_undistort_uv``, ``_project_uv``); the
-public functions on single points wrap them.
+``_denormalize_xy``, ``_distort_uv``, ``_undistort_uv``, ``_project_uv``).  Only
+``undistort`` and ``project`` remain as single-point wrappers, and both are
+there for the CLI.
 
 Coordinate conventions
 ----------------------
@@ -50,13 +51,10 @@ from .errors import BehindCamera, NonConvergent
 __all__ = [
     "Intrinsics",
     "DistortionCoefficients",
+    "SceneConstraints",
     "PixelPoint",
-    "NormalizedPoint",
     "Orientation",
     "WorldPoint",
-    "normalize",
-    "denormalize",
-    "distort",
     "undistort",
     "rotation_x",
     "rotation_z",
@@ -115,6 +113,21 @@ class DistortionCoefficients:
 
 
 @dataclass(frozen=True)
+class SceneConstraints:
+    """Known scene geometry: camera height and reference-line depth (metres)."""
+
+    c0: float
+    z0: float
+
+    def __post_init__(self) -> None:
+        for name in ("c0", "z0"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True)
 class PixelPoint:
     """Real-valued image location (u right, v down), in pixels."""
 
@@ -124,18 +137,6 @@ class PixelPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", _require_finite("u", self.u))
         object.__setattr__(self, "v", _require_finite("v", self.v))
-
-
-@dataclass(frozen=True)
-class NormalizedPoint:
-    """Dimensionless image coordinates after removing the intrinsic map."""
-
-    xn: float
-    yn: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xn", _require_finite("xn", self.xn))
-        object.__setattr__(self, "yn", _require_finite("yn", self.yn))
 
 
 @dataclass(frozen=True)
@@ -193,18 +194,6 @@ def _denormalize_xy(xy: np.ndarray, k: Intrinsics) -> np.ndarray:
     return np.stack([k.cx + k.fx * xn + k.skew * yn, k.cy + k.fy * yn], axis=-1)
 
 
-def normalize(p: PixelPoint, k: Intrinsics) -> NormalizedPoint:
-    """Map a pixel to normalized image coordinates (inverse intrinsic map)."""
-    xn, yn = _normalize_uv(np.array([p.u, p.v]), k)
-    return NormalizedPoint(float(xn), float(yn))
-
-
-def denormalize(n: NormalizedPoint, k: Intrinsics) -> PixelPoint:
-    """Apply the intrinsic map to normalized coordinates."""
-    u, v = _denormalize_xy(np.array([n.xn, n.yn]), k)
-    return PixelPoint(float(u), float(v))
-
-
 # ---------------------------------------------------------------------------
 # Brown-Conrady distortion
 # ---------------------------------------------------------------------------
@@ -247,13 +236,7 @@ def _distort_jacobian(
 
 
 def _distort_uv(uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients) -> np.ndarray:
-    """Vectorized distortion map for an (..., 2) pixel array."""
-    u, v, *_ = _distort_components(uv[..., 0], uv[..., 1], k, d)
-    return np.stack([u, v], axis=-1)
-
-
-def distort(p: PixelPoint, k: Intrinsics, d: DistortionCoefficients) -> PixelPoint:
-    """Apply lens distortion to an ideal (undistorted) pixel.
+    """Apply lens distortion to an (..., 2) array of ideal (undistorted) pixels.
 
     The radial polynomial scales the offset from the principal point and the
     tangential terms are added on top:
@@ -264,8 +247,8 @@ def distort(p: PixelPoint, k: Intrinsics, d: DistortionCoefficients) -> PixelPoi
     with ``r^2 = (u-cx)^2 + (v-cy)^2`` in pixel units.  Zero coefficients make
     this the identity; the principal point is always a fixed point.
     """
-    out = _distort_uv(np.array([p.u, p.v]), k, d)
-    return PixelPoint(float(out[0]), float(out[1]))
+    u, v, *_ = _distort_components(uv[..., 0], uv[..., 1], k, d)
+    return np.stack([u, v], axis=-1)
 
 
 def _undistort_uv(
@@ -278,7 +261,7 @@ def _undistort_uv(
     """Vectorized Newton inverse of :func:`_distort_uv`.
 
     Starting from the target itself, each of at most ``max_iter`` rounds
-    evaluates the residual ``distort(q) - target`` and returns once every
+    evaluates the residual ``_distort_uv(q) - target`` and returns once every
     point's residual is within ``tol`` pixels (Euclidean).  Otherwise it takes
     the Newton step ``q <- q - J(q)^-1 residual``, where ``J`` is the analytic
     Jacobian of the Brown-Conrady map (symmetric, since ``du'/dv == dv'/du``)
@@ -335,28 +318,15 @@ def undistort(
     tol: float = 1e-9,
     max_iter: int = 50,
 ) -> PixelPoint:
-    """Numerically invert :func:`distort` at a single pixel.
+    """Single-pixel :func:`_undistort_uv`, whose docstring gives the method.
 
-    Runs Newton's method on the analytic Jacobian of the distortion map,
-    starting from ``p`` itself, and accepts the result only on the branch
-    of the map that contains the principal point (positive radial factor
-    and Jacobian determinant).
-
-    Args:
-        p: Distorted pixel, assumed to lie in the invertible lens region.
-        k: Intrinsics (only the principal point matters to the offsets).
-        d: Distortion coefficients.
-        tol: Convergence tolerance in pixels on ``distort(result) - p``.
-        max_iter: Cap on residual evaluations; the last one only tests, so
-            at most ``max_iter - 1`` Newton steps are taken.
-
-    Returns:
-        The pixel ``q`` with ``distort(q)`` within ``tol`` pixels of ``p``.
+    Returns the pixel ``q`` with ``_distort_uv(q)`` within ``tol`` pixels of
+    ``p``.  ``max_iter`` caps the residual evaluations; the last one only
+    tests, so at most ``max_iter - 1`` Newton steps are taken.
 
     Raises:
         NonConvergent: iteration failed to converge or reached a folded
-            branch of the map (extreme coefficients, or a pixel beyond the
-            reach of the radial polynomial).
+            branch of the map (``p`` outside the invertible lens region).
     """
     out = _undistort_uv(np.array([p.u, p.v]), k, d, tol=tol, max_iter=max_iter)
     return PixelPoint(float(out[0]), float(out[1]))

@@ -1,11 +1,17 @@
 """Closed-form roll/pitch estimation from an observed ground reference line.
 
 Inputs are pixel samples along a straight scene line at known camera height
-``c0`` and known depth ``z0`` (see :class:`~camline.plane_backprojection.SceneConstraints`).
+``c0`` and known depth ``z0`` (see :class:`~camline.core_geometry.SceneConstraints`).
 One orthogonal-regression line is fitted through every undistorted sample:
 roll is its image angle, pitch comes from its de-rolled height.  A residual
 diagnostic back-projects every sample onto the plane and reports how far the
 recovered depths are from being constant and from ``z0``.
+
+Sign convention: world y increases downward (matching image v), and the
+observed plane lies a known height ``c0`` *below* the camera, i.e. at
+y = +c0.  A back-projected ray with a positive y component therefore descends
+toward the plane; a negative y component points above the horizon and never
+meets it.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ import numpy as np
 from .core_geometry import (
     DistortionCoefficients,
     Intrinsics,
-    NormalizedPoint,
     Orientation,
     PixelPoint,
+    SceneConstraints,
     _normalize_uv,
     _undistort_uv,
     rotation_matrix,
@@ -33,22 +39,20 @@ from .errors import (
     RayAwayFromPlane,
     RayParallelToPlane,
 )
-from .plane_backprojection import SceneConstraints, _plane_points
 
 __all__ = [
     "ReferenceLineObservation",
     "OrientationEstimate",
     "ZSpread",
-    "estimate_roll",
     "estimate_pitch",
     "central_pixel",
     "estimate_orientation",
     "residual_z_spread",
 ]
 
-# Normalized-coordinate separation below which two points cannot define a
-# line direction.
-_MIN_SEPARATION = 1e-9
+# Rays with |y| below this are treated as horizon hits: the nominal
+# intersection would sit ~1e12 m away and poison any residual built on it.
+HORIZON_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,31 +106,14 @@ class ZSpread(NamedTuple):
     mean_depth: float
 
 
-def estimate_roll(p1: NormalizedPoint, p2: NormalizedPoint) -> float:
-    """Roll angle from two normalized line points: the image angle of the line.
-
-    The two-point case of the line fit :func:`estimate_orientation` uses,
-    wrapped into (-pi/2, pi/2] since a line's direction carries no
-    orientation sign; the result is therefore independent of the point order.
-
-    Raises:
-        DegenerateLine: the points are closer than 1e-9 in normalized units.
-    """
-    if math.hypot(p1.xn - p2.xn, p1.yn - p2.yn) < _MIN_SEPARATION:
-        raise DegenerateLine(
-            f"line points are separated by less than {_MIN_SEPARATION:g} "
-            "in normalized coordinates"
-        )
-    return _fit_line(np.array([[p1.xn, p1.yn], [p2.xn, p2.yn]]))[0]
-
-
 def estimate_pitch(y0_normalized: float, sc: SceneConstraints) -> float:
-    """Pitch angle from the normalized height of the line's central pixel.
+    """Pitch angle from the de-rolled normalized height of the line.
 
-    Evaluates ``atan((c0 - z0*y') / (z0 + c0*y'))`` with ``y'`` the
-    normalized y of the point where the line crosses the image-centre column
-    (for a rolled camera, the line's de-rolled height).  Back-projecting that
-    central pixel through ``rotation_x(result)`` lands at depth ``z0`` exactly.
+    Evaluates ``atan((c0 - z0*y') / (z0 + c0*y'))`` with ``y'`` the de-rolled
+    height ``cos(roll)*yn - sin(roll)*xn``, the same at every point of the
+    line.  It equals the line's crossing of xn = 0 only at roll 0.
+    Back-projecting the de-rolled point ``(0, y')`` through
+    ``rotation_x(result)`` lands at depth ``z0`` exactly.
 
     Raises:
         DegenerateGeometry: the denominator ``z0 + c0*y'`` vanishes, i.e. the
@@ -159,13 +146,57 @@ def _fit_line(norm: np.ndarray) -> tuple[float, float]:
     return roll, math.cos(roll) * y_mean - math.sin(roll) * x_mean
 
 
+def _fit_observation(
+    obs: ReferenceLineObservation, k: Intrinsics, d: DistortionCoefficients
+) -> tuple[np.ndarray, float, float]:
+    """Undistort, span-check and normalize the pixels: ``(norm, *_fit_line(norm))``."""
+    und = _undistort_uv(obs.uv_array(), k, d)
+    span = float(np.hypot(*np.ptp(und, axis=0)))
+    if span <= 1.0:
+        raise DegenerateLine(f"line pixels span {span:.3g} px; they must span more than 1 px")
+    norm = _normalize_uv(und, k)
+    return (norm, *_fit_line(norm))
+
+
 def central_pixel(
     obs: ReferenceLineObservation, k: Intrinsics, d: DistortionCoefficients
-) -> NormalizedPoint:
-    """Undistort the observation, fit its line and return the fitted line's crossing of xn = 0."""
-    und = _undistort_uv(obs.uv_array(), k, d)
-    roll, height = _fit_line(_normalize_uv(und, k))
-    return NormalizedPoint(0.0, height / math.cos(roll))
+) -> float:
+    """Normalized height ``yn`` at which the observation's fitted line crosses xn = 0.
+
+    Raises:
+        NonConvergent: a pixel could not be undistorted.
+        DegenerateLine: the undistorted pixels span 1 px or less, or the
+            fitted line runs parallel to the centre column (|cos roll| < 1e-9).
+    """
+    _, roll, height = _fit_observation(obs, k, d)
+    cos_roll = math.cos(roll)
+    if abs(cos_roll) < 1e-9:
+        raise DegenerateLine(f"fitted line is parallel to the centre column (roll {roll:.6g} rad)")
+    return height / cos_roll
+
+
+def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> np.ndarray:
+    """Intersect the rays through normalized points (..., 2) with the plane.
+
+    Each ray is ``rot @ (xn, yn, 1)``, with ``rot`` the camera-to-world
+    rotation, scaled until its y component reaches ``c0``.  Returns (..., 3)
+    world points whose ``y`` is ``c0`` exactly.
+
+    Raises:
+        RayParallelToPlane: some ray runs along the horizon (|y| < 1e-12).
+        RayAwayFromPlane: some ray points above the horizon.
+    """
+    rays = np.concatenate([norm, np.ones(norm.shape[:-1] + (1,))], axis=-1) @ rot.T
+    y = rays[..., 1]
+    if np.any(np.abs(y) < HORIZON_EPS):
+        n_bad = int(np.count_nonzero(np.abs(y) < HORIZON_EPS))
+        raise RayParallelToPlane(f"{n_bad} point(s) back-project along the horizon")
+    if np.any(y < 0.0):
+        n_bad = int(np.count_nonzero(y < 0.0))
+        raise RayAwayFromPlane(f"{n_bad} point(s) back-project above the horizon")
+    points = c0 * rays / y[..., None]
+    points[..., 1] = c0
+    return points
 
 
 def _depth_stats(norm: np.ndarray, orientation: Orientation, c0: float) -> ZSpread:
@@ -186,8 +217,8 @@ def estimate_orientation(
     all of them in normalized coordinates, whose angle is the roll; feed its
     de-rolled height ``cos(roll)*yn - sin(roll)*xn``, the same at every point
     of the line, to the pitch formula; then back-project every pixel through
-    the combined rotation to fill in the depth residuals.  On two pixels this
-    is the two-point formula of :func:`estimate_roll` and :func:`estimate_pitch`.
+    the combined rotation to fill in the depth residuals.  On two pixels the
+    roll is the image angle of the segment between them.
 
     Raises:
         NonConvergent: a pixel could not be undistorted.
@@ -197,12 +228,7 @@ def estimate_orientation(
         NoHorizonIntersection: some pixel back-projects at or above the
             horizon under the estimated rotation (grossly wrong inputs).
     """
-    und = _undistort_uv(obs.uv_array(), k, d)
-    span = float(np.hypot(*np.ptp(und, axis=0)))
-    if span <= 1.0:
-        raise DegenerateLine(f"line pixels span {span:.3g} px; they must span more than 1 px")
-    norm = _normalize_uv(und, k)
-    roll, height = _fit_line(norm)
+    norm, roll, height = _fit_observation(obs, k, d)
     pitch = estimate_pitch(height, sc)
 
     orientation = Orientation(roll=roll, pitch=pitch)

@@ -21,13 +21,13 @@ from .core_geometry import (
     DistortionCoefficients,
     Intrinsics,
     Orientation,
+    SceneConstraints,
     _distort_components,
     _distort_jacobian,
     _project_uv,
 )
 from .errors import GeometryError, TooFewVisible
 from .orientation_estimator import ReferenceLineObservation, estimate_orientation
-from .plane_backprojection import SceneConstraints
 
 __all__ = [
     "SyntheticScene",

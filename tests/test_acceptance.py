@@ -15,7 +15,6 @@ import numpy as np
 from camline import (
     DistortionCoefficients,
     Intrinsics,
-    NormalizedPoint,
     Orientation,
     PixelPoint,
     SceneConstraints,
@@ -24,10 +23,8 @@ from camline import (
     TooFewVisible,
     WorldPoint,
     default_intrinsics,
-    distort,
     estimate_orientation,
     estimate_pitch,
-    estimate_roll,
     project,
     render_line,
     residual_z_spread,
@@ -37,9 +34,10 @@ from camline import (
     rotation_z,
     sweep,
     undistort,
-    undistort_then_back_project,
 )
 from camline.cli import main
+from camline.core_geometry import _distort_uv, _normalize_uv, _undistort_uv
+from camline.orientation_estimator import _fit_line, _plane_points
 
 IMAGE_W, IMAGE_H = 1280, 720
 
@@ -107,8 +105,8 @@ def test_criterion_2_distortion_round_trip(default_k):
                 default_k.cx + r * math.cos(phi), default_k.cy + r * math.sin(phi)
             )
             q = undistort(p, default_k, d)
-            back = distort(q, default_k, d)
-            worst = max(worst, math.hypot(back.u - p.u, back.v - p.v))
+            u, v = _distort_uv(np.array([q.u, q.v]), default_k, d)
+            worst = max(worst, math.hypot(u - p.u, v - p.v))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 1.0
     _report(
@@ -142,10 +140,9 @@ def test_criterion_3_projection_back_projection_round_trip(default_k):
                 continue
             if not (0.0 <= pix.u < IMAGE_W and 0.0 <= pix.v < IMAGE_H):
                 continue
-            rec = undistort_then_back_project(
-                pix, default_k, d, rotation_matrix(orientation), c0
-            )
-            worst = max(worst, abs(rec.x - w.x), abs(rec.z - w.z))
+            norm = _normalize_uv(_undistort_uv(np.array([pix.u, pix.v]), default_k, d), default_k)
+            x, _, z = _plane_points(norm, rotation_matrix(orientation), c0)
+            worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
         results[label] = (worst, tol)
     ok = all(worst < tol for worst, tol in results.values())
@@ -170,9 +167,7 @@ def test_criterion_4_analytic_special_cases():
         x1, x2 = sorted(rng.uniform(-0.7, 0.7, size=2))
         if x2 - x1 < 1e-3:
             continue
-        worst_roll = max(
-            worst_roll, abs(estimate_roll(NormalizedPoint(x1, y), NormalizedPoint(x2, y)))
-        )
+        worst_roll = max(worst_roll, abs(_fit_line(np.array([[x1, y], [x2, y]]))[0]))
 
     worst_matrix = 0.0
     for _ in range(100):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from camline.cli import main
@@ -176,8 +177,9 @@ class TestProject:
         assert v == pytest.approx(360.0, abs=1e-9)
 
     def test_output_back_projects_to_the_input_point(self, tmp_path, capsys):
-        from camline import rotation_xz, undistort_then_back_project
-        from camline import DistortionCoefficients, Intrinsics, PixelPoint
+        from camline import DistortionCoefficients, Intrinsics, rotation_xz
+        from camline.core_geometry import _normalize_uv, _undistort_uv
+        from camline.orientation_estimator import _plane_points
 
         config = make_config(tmp_path, distortion={"k1": -1e-8})
         roll_deg, pitch_deg = 2.0, 33.0
@@ -187,12 +189,11 @@ class TestProject:
         u, v = map(float, capsys.readouterr().out.strip().split(","))
         rot = rotation_xz(math.radians(pitch_deg), math.radians(roll_deg))
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
-        p = undistort_then_back_project(
-            PixelPoint(u, v), k, DistortionCoefficients(k1=-1e-8), rot, 2.0
-        )
-        assert p.x == pytest.approx(0.8, abs=1e-9)
-        assert p.y == 2.0
-        assert p.z == pytest.approx(3.5, abs=1e-9)
+        und = _undistort_uv(np.array([u, v]), k, DistortionCoefficients(k1=-1e-8))
+        x, y, z = _plane_points(_normalize_uv(und, k), rot, 2.0)
+        assert x == pytest.approx(0.8, abs=1e-9)
+        assert y == 2.0
+        assert z == pytest.approx(3.5, abs=1e-9)
 
 
 class TestUndistort:

@@ -12,9 +12,7 @@ from camline import (
     DistortionCoefficients,
     Intrinsics,
     SceneConstraints,
-    dump_camera_config,
     load_camera_config,
-    save_camera_config,
 )
 
 VALID = {
@@ -107,23 +105,16 @@ def test_missing_file(tmp_path):
         load_camera_config(tmp_path / "nope.json")
 
 
-def test_dump_load_round_trip(tmp_path):
-    cfg = CameraConfig(
+def test_every_field_loads_as_written(tmp_path):
+    # Every field off its default, distortion keys out of the usual order.
+    doc = {
+        "scene": {"z0": 6.5, "c0": 1.75},
+        "distortion": {"p2": 2e-9, "k3": 3e-21, "k1": 1e-8, "p1": -1e-9, "k2": -2e-15},
+        "intrinsics": {"skew": 0.25, "cy": 300.0, "cx": 400.0, "fy": 820.0, "fx": 800.0},
+    }
+    cfg = load_camera_config(write_config(tmp_path, doc))
+    assert cfg == CameraConfig(
         intrinsics=Intrinsics(fx=800.0, fy=820.0, cx=400.0, cy=300.0, skew=0.25),
         distortion=DistortionCoefficients(k1=1e-8, k2=-2e-15, k3=3e-21, p1=-1e-9, p2=2e-9),
         scene=SceneConstraints(c0=1.75, z0=6.5),
     )
-    path = tmp_path / "out.json"
-    save_camera_config(cfg, path)
-    assert load_camera_config(path) == cfg
-
-
-def test_distortion_serialization_order():
-    doc = dump_camera_config(
-        CameraConfig(
-            intrinsics=Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0),
-            distortion=DistortionCoefficients(),
-            scene=SceneConstraints(c0=1.0, z0=1.0),
-        )
-    )
-    assert list(doc["distortion"]) == ["k1", "k2", "p1", "p2", "k3"]

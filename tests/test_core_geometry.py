@@ -14,13 +14,9 @@ from camline import (
     DistortionCoefficients,
     Intrinsics,
     NonConvergent,
-    NormalizedPoint,
     Orientation,
     PixelPoint,
     WorldPoint,
-    denormalize,
-    distort,
-    normalize,
     project,
     rotation_matrix,
     rotation_x,
@@ -28,6 +24,7 @@ from camline import (
     rotation_z,
     undistort,
 )
+from camline.core_geometry import _denormalize_xy, _distort_uv, _normalize_uv
 
 from conftest import axis_angle_matrix
 
@@ -70,24 +67,24 @@ class TestTypeInvariants:
 
 
 # ---------------------------------------------------------------------------
-# normalize / denormalize
+# _normalize_uv / _denormalize_xy
 # ---------------------------------------------------------------------------
 
 
 class TestNormalize:
     def test_principal_point_maps_to_origin(self, default_k):
-        n = normalize(PixelPoint(default_k.cx, default_k.cy), default_k)
-        assert n == NormalizedPoint(0.0, 0.0)
+        n = _normalize_uv(np.array([default_k.cx, default_k.cy]), default_k)
+        assert n.tolist() == [0.0, 0.0]
 
     def test_one_focal_length_offset(self, default_k):
-        n = normalize(PixelPoint(default_k.cx + default_k.fx, default_k.cy), default_k)
-        assert n == NormalizedPoint(1.0, 0.0)
+        n = _normalize_uv(np.array([default_k.cx + default_k.fx, default_k.cy]), default_k)
+        assert n.tolist() == [1.0, 0.0]
 
     def test_hand_computed_values(self):
         k = Intrinsics(fx=1000.0, fy=1100.0, cx=640.0, cy=360.0)
-        n = normalize(PixelPoint(940.0, 580.0), k)
-        assert n.xn == pytest.approx(0.3, abs=1e-15)
-        assert n.yn == pytest.approx(0.2, abs=1e-15)
+        xn, yn = _normalize_uv(np.array([940.0, 580.0]), k)
+        assert xn == pytest.approx(0.3, abs=1e-15)
+        assert yn == pytest.approx(0.2, abs=1e-15)
 
     @given(
         u=st.floats(min_value=-2000.0, max_value=3000.0),
@@ -97,34 +94,33 @@ class TestNormalize:
     @settings(deadline=None)
     def test_denormalize_inverts_normalize(self, u, v, skew):
         k = Intrinsics(fx=1000.0, fy=1100.0, cx=640.0, cy=360.0, skew=skew)
-        p = PixelPoint(u, v)
-        q = denormalize(normalize(p, k), k)
-        assert q.u == pytest.approx(p.u, abs=1e-12)
-        assert q.v == pytest.approx(p.v, abs=1e-12)
+        q = _denormalize_xy(_normalize_uv(np.array([u, v]), k), k)
+        assert q[0] == pytest.approx(u, abs=1e-12)
+        assert q[1] == pytest.approx(v, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# distort / undistort
+# _distort_uv / undistort
 # ---------------------------------------------------------------------------
 
 
 class TestDistort:
     def test_zero_coefficients_is_identity(self, default_k, zero_d):
-        p = PixelPoint(123.25, 987.5)
-        assert distort(p, default_k, zero_d) == p
+        p = np.array([123.25, 987.5])
+        assert np.array_equal(_distort_uv(p, default_k, zero_d), p)
 
     def test_principal_point_is_fixed(self, default_k):
         d = DistortionCoefficients(k1=1e-6, k2=1e-12, k3=1e-18, p1=1e-7, p2=-1e-7)
-        p = PixelPoint(default_k.cx, default_k.cy)
-        assert distort(p, default_k, d) == p
+        p = np.array([default_k.cx, default_k.cy])
+        assert np.array_equal(_distort_uv(p, default_k, d), p)
 
     def test_radial_hand_computation(self):
         # r^2 = 100^2, so u -> 100 * (1 + 1e-7 * 1e4) = 100.1
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=0.0, cy=0.0)
         d = DistortionCoefficients(k1=1e-7)
-        out = distort(PixelPoint(100.0, 0.0), k, d)
-        assert out.u == pytest.approx(100.1, abs=1e-12)
-        assert out.v == pytest.approx(0.0, abs=1e-12)
+        u, v = _distort_uv(np.array([100.0, 0.0]), k, d)
+        assert u == pytest.approx(100.1, abs=1e-12)
+        assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_tangential_hand_computation(self):
         # dx=10, dy=20, r^2=500:
@@ -132,9 +128,9 @@ class TestDistort:
         #   dv = 2*p1*200 + p2*(500 + 800) = 4.0e-4 + 2.6e-3 = 3.0e-3
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=0.0, cy=0.0)
         d = DistortionCoefficients(p1=1e-6, p2=2e-6)
-        out = distort(PixelPoint(10.0, 20.0), k, d)
-        assert out.u == pytest.approx(10.0015, abs=1e-12)
-        assert out.v == pytest.approx(20.003, abs=1e-12)
+        u, v = _distort_uv(np.array([10.0, 20.0]), k, d)
+        assert u == pytest.approx(10.0015, abs=1e-12)
+        assert v == pytest.approx(20.003, abs=1e-12)
 
     @given(
         u=st.floats(min_value=0.0, max_value=1280.0),
@@ -145,9 +141,9 @@ class TestDistort:
         # Offsets are measured from the principal point, so the identity is
         # exact only up to rounding at the principal-point magnitude.
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
-        out = distort(PixelPoint(u, v), k, DistortionCoefficients())
-        assert out.u == pytest.approx(u, abs=1e-9)
-        assert out.v == pytest.approx(v, abs=1e-9)
+        out = _distort_uv(np.array([u, v]), k, DistortionCoefficients())
+        assert out[0] == pytest.approx(u, abs=1e-9)
+        assert out[1] == pytest.approx(v, abs=1e-9)
 
 
 class TestUndistort:
@@ -166,8 +162,8 @@ class TestUndistort:
             r = radius * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
             q = PixelPoint(default_k.cx + r * math.cos(phi), default_k.cy + r * math.sin(phi))
-            p = distort(q, default_k, d)
-            back = undistort(p, default_k, d)
+            u, v = _distort_uv(np.array([q.u, q.v]), default_k, d)
+            back = undistort(PixelPoint(u, v), default_k, d)
             worst = max(worst, math.hypot(back.u - q.u, back.v - q.v))
         assert worst < 1e-6
 
@@ -175,8 +171,8 @@ class TestUndistort:
         d = DistortionCoefficients(k1=5e-8, p1=-1e-8)
         p = PixelPoint(1100.0, 650.0)
         q = undistort(p, default_k, d, tol=1e-10)
-        p2 = distort(q, default_k, d)
-        assert math.hypot(p2.u - p.u, p2.v - p.v) < 1e-9
+        u, v = _distort_uv(np.array([q.u, q.v]), default_k, d)
+        assert math.hypot(u - p.u, v - p.v) < 1e-9
 
     @given(
         k1=st.floats(min_value=-5e-7, max_value=5e-7),
@@ -202,7 +198,8 @@ class TestUndistort:
         r = radius_fraction * limit
         q = PixelPoint(k.cx + r * math.cos(phi), k.cy + r * math.sin(phi))
         d = DistortionCoefficients(k1=k1, p1=p1, p2=p2)
-        back = undistort(distort(q, k, d), k, d, max_iter=10)
+        u, v = _distort_uv(np.array([q.u, q.v]), k, d)
+        back = undistort(PixelPoint(u, v), k, d, max_iter=10)
         assert math.hypot(back.u - q.u, back.v - q.v) < 1e-6
 
     @pytest.mark.parametrize("r", [390.0, 500.0, 1e4, 1e6])

@@ -15,27 +15,29 @@ from camline import (
     DegenerateLine,
     DistortionCoefficients,
     NoHorizonIntersection,
-    NormalizedPoint,
     Orientation,
     PixelPoint,
     ReferenceLineObservation,
     SceneConstraints,
     SyntheticScene,
-    back_project_to_plane,
     central_pixel,
-    denormalize,
     estimate_orientation,
     estimate_pitch,
-    estimate_roll,
-    normalize,
     render_line,
     residual_z_spread,
     rotation_x,
 )
+from camline.core_geometry import _normalize_uv
+from camline.orientation_estimator import _fit_line, _plane_points
 
 from conftest import line_angle_distance
 
 coords = st.floats(min_value=-0.8, max_value=0.8)
+
+
+def _roll(x1, y1, x2, y2):
+    """Roll that ``_fit_line`` gives for the line through two normalized points."""
+    return _fit_line(np.array([[x1, y1], [x2, y2]]))[0]
 
 
 def _scene(roll, pitch, k, d=DistortionCoefficients(), sc=None, **kwargs):
@@ -65,29 +67,24 @@ class TestObservation:
 
 
 class TestEstimateRoll:
+    """Roll is the angle of the line ``_fit_line`` fits; two points fix it."""
+
     def test_horizontal_line_gives_zero(self):
-        assert estimate_roll(NormalizedPoint(-0.4, 0.1), NormalizedPoint(0.3, 0.1)) == 0.0
+        assert _roll(-0.4, 0.1, 0.3, 0.1) == 0.0
 
     def test_unit_slope(self):
-        got = estimate_roll(NormalizedPoint(0.0, 0.1), NormalizedPoint(0.1, 0.2))
-        assert got == pytest.approx(math.pi / 4, abs=1e-12)
+        assert _roll(0.0, 0.1, 0.1, 0.2) == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_vertical_line_maps_to_half_pi(self):
-        got = estimate_roll(NormalizedPoint(0.0, 0.0), NormalizedPoint(0.0, 1.0))
-        assert got == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_degenerate_points_raise(self):
-        with pytest.raises(DegenerateLine):
-            estimate_roll(NormalizedPoint(0.1, 0.1), NormalizedPoint(0.1 + 1e-10, 0.1))
+        assert _roll(0.0, 0.0, 0.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-12)
 
     @given(x1=coords, y1=coords, x2=coords, y2=coords)
     @settings(deadline=None)
     def test_symmetric_in_point_order(self, x1, y1, x2, y2):
-        p1, p2 = NormalizedPoint(x1, y1), NormalizedPoint(x2, y2)
         if math.hypot(x1 - x2, y1 - y2) < 1e-6:
             return
-        a = estimate_roll(p1, p2)
-        b = estimate_roll(p2, p1)
+        a = _roll(x1, y1, x2, y2)
+        b = _roll(x2, y2, x1, y1)
         assert line_angle_distance(a, b) < 1e-12
         assert -math.pi / 2 < a <= math.pi / 2
 
@@ -97,10 +94,8 @@ class TestEstimateRoll:
     def test_invariant_to_uniform_scaling(self, x1, y1, x2, y2, scale):
         if math.hypot(x1 - x2, y1 - y2) < 1e-6:
             return
-        a = estimate_roll(NormalizedPoint(x1, y1), NormalizedPoint(x2, y2))
-        b = estimate_roll(
-            NormalizedPoint(x1 * scale, y1 * scale), NormalizedPoint(x2 * scale, y2 * scale)
-        )
+        a = _roll(x1, y1, x2, y2)
+        b = _roll(x1 * scale, y1 * scale, x2 * scale, y2 * scale)
         assert line_angle_distance(a, b) < 1e-9
 
     def test_recovers_synthetic_ground_truth(self, default_k, zero_d, sc):
@@ -114,14 +109,13 @@ class TestEstimatePitch:
         sc = SceneConstraints(c0=2.0, z0=2.0)
         assert estimate_pitch(0.0, sc) == pytest.approx(math.pi / 4, abs=1e-15)
 
-    def test_hand_substitution(self, default_k, sc):
+    def test_hand_substitution(self, sc):
         # (2 - 3*0.25) / (3 + 2*0.25) = 1.25/3.5
         got = estimate_pitch(0.25, sc)
         assert got == pytest.approx(0.3430239404207034, abs=1e-14)
         # Independent check: the central pixel back-projects to depth z0.
-        pix = denormalize(NormalizedPoint(0.0, 0.25), default_k)
-        p = back_project_to_plane(pix, default_k, rotation_x(got), sc.c0)
-        assert p.z == pytest.approx(sc.z0, abs=1e-10)
+        p = _plane_points(np.array([0.0, 0.25]), rotation_x(got), sc.c0)
+        assert p[2] == pytest.approx(sc.z0, abs=1e-10)
 
     def test_degenerate_denominator(self, sc):
         with pytest.raises(DegenerateGeometry):
@@ -139,16 +133,14 @@ class TestCentralPixel:
             np.array([[540.0, 420.0], [640.0, 430.0], [740.0, 440.0]])
         )
         got = central_pixel(obs, default_k, zero_d)
-        assert got.xn == 0.0
-        assert got.yn == pytest.approx((430.0 - 360.0) / 1000.0, abs=1e-15)
+        assert got == pytest.approx((430.0 - 360.0) / 1000.0, abs=1e-15)
 
     def test_symmetric_points_interpolate_to_midpoint(self, default_k, zero_d):
         obs = ReferenceLineObservation.from_array(
             np.array([[640.0 - 80.0, 410.0], [640.0 + 80.0, 410.0]])
         )
         got = central_pixel(obs, default_k, zero_d)
-        assert got.xn == 0.0
-        assert got.yn == pytest.approx(0.05, abs=1e-12)
+        assert got == pytest.approx(0.05, abs=1e-12)
 
     def test_interpolation_matches_undistorted_line(self, default_k, mild_d, sc):
         # The centre found on a distorted render must match the centre of the
@@ -158,8 +150,7 @@ class TestCentralPixel:
         zero_d = DistortionCoefficients()
         got = central_pixel(render_line(scene_d), default_k, mild_d)
         want = central_pixel(render_line(scene_0), default_k, zero_d)
-        assert got.xn == want.xn == 0.0
-        assert got.yn == pytest.approx(want.yn, abs=1e-6)
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_crossing_of_line_right_of_centre(self, default_k, zero_d):
         # Normalized points (0.26, 0.05), (0.36, 0.055), (0.46, 0.06): slope
@@ -167,9 +158,18 @@ class TestCentralPixel:
         obs = ReferenceLineObservation.from_array(
             np.array([[900.0, 410.0], [1000.0, 415.0], [1100.0, 420.0]])
         )
-        got = central_pixel(obs, default_k, zero_d)
-        assert got.xn == pytest.approx(0.0, abs=1e-12)
-        assert got.yn == pytest.approx(0.037, abs=1e-12)
+        assert central_pixel(obs, default_k, zero_d) == pytest.approx(0.037, abs=1e-12)
+
+    def test_vertical_line_raises(self, default_k, zero_d):
+        # The fitted line never crosses xn = 0; 1/cos(pi/2) would give ~1e15.
+        obs = ReferenceLineObservation.from_array(np.array([[700.0, 420.0], [700.0, 500.0]]))
+        with pytest.raises(DegenerateLine, match="parallel"):
+            central_pixel(obs, default_k, zero_d)
+
+    def test_duplicated_pixels_raise(self, default_k, zero_d):
+        obs = ReferenceLineObservation.from_array(np.tile([700.0, 450.0], (5, 1)))
+        with pytest.raises(DegenerateLine, match="span"):
+            central_pixel(obs, default_k, zero_d)
 
 
 class TestEstimateOrientation:
@@ -248,12 +248,18 @@ class TestEstimateOrientation:
 
     def test_two_pixels_reduce_to_the_two_point_formulas(self, default_k, zero_d, sc):
         obs = ReferenceLineObservation.from_array(np.array([[520.0, 470.0], [810.0, 505.0]]))
-        p1, p2 = (normalize(p, default_k) for p in obs.pixels)
+        (x1, y1), (x2, y2) = _normalize_uv(obs.uv_array(), default_k)
         est = estimate_orientation(obs, default_k, zero_d, sc)
         roll = est.orientation.roll
-        assert roll == estimate_roll(p1, p2)
-        for p in (p1, p2):
-            height = math.cos(roll) * p.yn - math.sin(roll) * p.xn
+        # The segment's direction angle, wrapped into (-pi/2, pi/2].
+        want = math.atan2(y2 - y1, x2 - x1)
+        if want > math.pi / 2:
+            want -= math.pi
+        elif want <= -math.pi / 2:
+            want += math.pi
+        assert roll == pytest.approx(want, abs=1e-15)
+        for xn, yn in ((x1, y1), (x2, y2)):
+            height = math.cos(roll) * yn - math.sin(roll) * xn
             assert est.orientation.pitch == pytest.approx(estimate_pitch(height, sc), abs=1e-12)
 
     def test_duplicated_pixels_raise(self, default_k, zero_d, sc):
@@ -290,7 +296,7 @@ class TestResidualZSpread:
             assert spread > base
 
     def test_two_pixel_observation(self, default_k, zero_d, sc):
-        # Spread of two points must equal |z1 - z2| from scalar back-projection.
+        # Spread of two points must equal |z1 - z2| from back-projecting each.
         obs = ReferenceLineObservation.from_array(
             np.array([[540.0, 500.0], [760.0, 530.0]])
         )
@@ -302,9 +308,7 @@ class TestResidualZSpread:
                 [0.0, 0.0, 1.0],
             ]
         )
-        z = [
-            back_project_to_plane(p, default_k, rot, sc.c0).z for p in obs.pixels
-        ]
+        z = [_plane_points(_normalize_uv(uv, default_k), rot, sc.c0)[2] for uv in obs.uv_array()]
         spread, mean_depth = residual_z_spread(obs, default_k, zero_d, orientation, sc.c0)
         assert spread == pytest.approx(abs(z[0] - z[1]), abs=1e-12)
         assert mean_depth == pytest.approx((z[0] + z[1]) / 2.0, abs=1e-12)

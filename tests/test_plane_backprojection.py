@@ -1,4 +1,4 @@
-"""Tests for ray/plane back-projection."""
+"""Tests for ray/plane back-projection (``_plane_points``)."""
 
 from __future__ import annotations
 
@@ -12,18 +12,25 @@ from hypothesis import strategies as st
 from camline import (
     Intrinsics,
     Orientation,
-    PixelPoint,
     RayAwayFromPlane,
     RayParallelToPlane,
     SceneConstraints,
     WorldPoint,
-    back_project_to_plane,
     project,
     rotation_matrix,
     rotation_x,
     rotation_xz,
-    undistort_then_back_project,
 )
+from camline.core_geometry import _normalize_uv, _undistort_uv
+from camline.orientation_estimator import _plane_points
+
+
+def back_project(u, v, k, rot, c0, d=None):
+    """Plane point (x, y, z) of pixel (u, v), undistorted first when ``d`` is given."""
+    uv = np.array([u, v])
+    if d is not None:
+        uv = _undistort_uv(uv, k, d)
+    return _plane_points(_normalize_uv(uv, k), rot, c0)
 
 
 class TestSceneConstraints:
@@ -38,24 +45,20 @@ class TestSceneConstraints:
 
 
 class TestInverseRay:
-    """``back_project_to_plane`` lands on the pixel's inverse ray ``rot @ (xn, yn, 1)``."""
+    """``_plane_points`` lands on the pixel's inverse ray ``rot @ (xn, yn, 1)``."""
 
     def test_identity_rotation_optical_axis(self, default_k):
         # Unrotated, the column through the principal point keeps x = 0, and a
         # pixel fy/2 below the optical axis reaches the plane at z = 2 * c0.
-        p = back_project_to_plane(
-            PixelPoint(default_k.cx, default_k.cy + default_k.fy / 2), default_k, np.eye(3), 2.0
-        )
-        assert (p.x, p.y, p.z) == (0.0, 2.0, 4.0)
+        p = back_project(default_k.cx, default_k.cy + default_k.fy / 2, default_k, np.eye(3), 2.0)
+        assert p.tolist() == [0.0, 2.0, 4.0]
 
     def test_pitched_camera_optical_axis(self, default_k):
         theta = 0.4
-        p = back_project_to_plane(
-            PixelPoint(default_k.cx, default_k.cy), default_k, rotation_x(theta), 2.0
-        )
-        assert p.x == pytest.approx(0.0, abs=1e-15)
-        assert p.y == 2.0
-        assert p.z == pytest.approx(2.0 / math.tan(theta), abs=1e-12)
+        x, y, z = back_project(default_k.cx, default_k.cy, default_k, rotation_x(theta), 2.0)
+        assert x == pytest.approx(0.0, abs=1e-15)
+        assert y == 2.0
+        assert z == pytest.approx(2.0 / math.tan(theta), abs=1e-12)
 
     @given(
         theta=st.floats(min_value=-1.2, max_value=1.2),
@@ -74,36 +77,26 @@ class TestInverseRay:
         ray_y = (rot @ [xn, yn, 1.0])[1]
         if ray_y < 1e-6:
             return  # at or above the horizon: no plane point to test
-        p = back_project_to_plane(PixelPoint(u, v), k, rot, 2.0)
-        cam = rot.T @ [p.x, p.y, p.z]
+        cam = rot.T @ back_project(u, v, k, rot, 2.0)
         assert np.allclose(cam / cam[2], [xn, yn, 1.0], atol=1e-12)
 
 
 class TestBackProjectToPlane:
     def test_forty_five_degree_ray(self, default_k):
         # Optical axis pitched 45 degrees down from 2 m: hits the plane 2 m out.
-        p = back_project_to_plane(
-            PixelPoint(default_k.cx, default_k.cy), default_k, rotation_x(math.pi / 4), 2.0
-        )
-        assert p.x == pytest.approx(0.0, abs=1e-12)
-        assert p.y == 2.0
-        assert p.z == pytest.approx(2.0, abs=1e-12)
+        x, y, z = back_project(default_k.cx, default_k.cy, default_k, rotation_x(math.pi / 4), 2.0)
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert y == 2.0
+        assert z == pytest.approx(2.0, abs=1e-12)
 
     def test_level_camera_is_parallel_to_plane(self, default_k):
         with pytest.raises(RayParallelToPlane):
-            back_project_to_plane(
-                PixelPoint(default_k.cx, default_k.cy), default_k, np.eye(3), 2.0
-            )
+            back_project(default_k.cx, default_k.cy, default_k, np.eye(3), 2.0)
 
     def test_pixel_above_horizon(self, default_k):
         # v far above the centre overcomes a 0.3 rad downward pitch.
         with pytest.raises(RayAwayFromPlane):
-            back_project_to_plane(
-                PixelPoint(default_k.cx, default_k.cy - 2000.0),
-                default_k,
-                rotation_x(0.3),
-                2.0,
-            )
+            back_project(default_k.cx, default_k.cy - 2000.0, default_k, rotation_x(0.3), 2.0)
 
     @given(
         theta=st.floats(min_value=0.15, max_value=1.2),
@@ -117,17 +110,15 @@ class TestBackProjectToPlane:
         ray = rotation_x(theta) @ [(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0]
         if ray[1] < 1e-6:
             return  # too close to the horizon to be a meaningful sample
-        p = back_project_to_plane(PixelPoint(u, v), k, rotation_x(theta), c0)
-        assert p.y == c0
+        assert back_project(u, v, k, rotation_x(theta), c0)[1] == c0
 
 
 class TestUndistortThenBackProject:
     def test_zero_distortion_matches_plain_back_projection(self, default_k, zero_d):
         rot = rotation_xz(0.5, 0.05)
-        p = PixelPoint(700.0, 500.0)
-        a = undistort_then_back_project(p, default_k, zero_d, rot, 2.0)
-        b = back_project_to_plane(p, default_k, rot, 2.0)
-        assert (a.x, a.y, a.z) == (b.x, b.y, b.z)
+        a = back_project(700.0, 500.0, default_k, rot, 2.0, zero_d)
+        b = back_project(700.0, 500.0, default_k, rot, 2.0)
+        assert np.array_equal(a, b)
 
     def test_round_trip_with_distortion(self, default_k, mild_d):
         # Project plane points through the full forward model, then invert.
@@ -147,8 +138,8 @@ class TestUndistortThenBackProject:
                 continue
             if not (0 <= pix.u < 1280 and 0 <= pix.v < 720):
                 continue
-            got = undistort_then_back_project(pix, default_k, mild_d, rot, c0)
-            worst = max(worst, abs(got.x - w.x), abs(got.z - w.z))
+            x, _, z = back_project(pix.u, pix.v, default_k, rot, c0, mild_d)
+            worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
         assert worst < 1e-6
 
@@ -166,10 +157,9 @@ class TestUndistortThenBackProject:
                 pix = project(w, default_k, zero_d, orientation)
             except Exception:
                 continue
-            got = undistort_then_back_project(
-                pix, default_k, zero_d, rotation_matrix(orientation), c0
-            )
-            worst = max(worst, abs(got.x - w.x), abs(got.z - w.z))
+            rot = rotation_matrix(orientation)
+            x, _, z = back_project(pix.u, pix.v, default_k, rot, c0, zero_d)
+            worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
         assert worst < 1e-9
 
@@ -178,6 +168,4 @@ class TestUndistortThenBackProject:
         orientation = Orientation(roll=0.0, pitch=0.3)
         pix = project(WorldPoint(0.0, -1.0, 5.0), default_k, zero_d, orientation)
         with pytest.raises(RayAwayFromPlane):
-            undistort_then_back_project(
-                pix, default_k, zero_d, rotation_matrix(orientation), 2.0
-            )
+            back_project(pix.u, pix.v, default_k, rotation_matrix(orientation), 2.0, zero_d)

@@ -21,9 +21,10 @@ from camline import (
     rotation_matrix,
     run_trial,
     sweep,
-    undistort_then_back_project,
     write_sweep_csv,
 )
+from camline.core_geometry import _normalize_uv, _undistort_uv
+from camline.orientation_estimator import _plane_points
 from camline.synthetic_rig import SWEEP_CSV_HEADER
 
 
@@ -111,10 +112,10 @@ class TestRenderLine:
         assert len(obs) == scene.n_points
         rot = rotation_matrix(scene.ground_truth)
         xs = np.linspace(-1.0, 1.0, 21)
-        for x_true, pix in zip(xs, obs.pixels):
-            p = undistort_then_back_project(pix, k, d, rot, sc.c0)
-            assert p.x == pytest.approx(x_true, abs=1e-6)
-            assert p.z == pytest.approx(sc.z0, abs=1e-6)
+        for x_true, uv in zip(xs, obs.uv_array()):
+            x, _, z = _plane_points(_normalize_uv(_undistort_uv(uv, k, d), k), rot, sc.c0)
+            assert x == pytest.approx(x_true, abs=1e-6)
+            assert z == pytest.approx(sc.z0, abs=1e-6)
 
     def test_points_past_the_fold_are_dropped(self, sc):
         # At this pose 4 of the 101 points have an ideal radius beyond the
