@@ -109,8 +109,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_points=args.points,
         noise_sigma=args.noise,
         rng_seed=args.seed,
+        image_width=args.width,
+        image_height=args.height,
     )
-    obs = render_line(scene, args.width, args.height)
+    obs = render_line(scene)
 
     out = Path(args.output)
     lines = ["u,v"] + [f"{p.u!r},{p.v!r}" for p in obs.pixels]

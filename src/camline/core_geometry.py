@@ -24,7 +24,7 @@ Rotation convention
     world_dir = R @ camera_dir
 
 The camera sits at the world origin.  ``project`` therefore uses the
-transpose of ``rotation_matrix(orientation)`` as the world-to-camera map,
+transpose of ``rotation_xz(pitch, roll)`` as the world-to-camera map,
 while the back-projection code applies the matrix directly to the homogeneous
 ray ``(xn, yn, 1)``.  Angles are radians everywhere; roll rotates about the
 optical (z) axis, pitch about the lateral (x) axis, and the yaw slot is
@@ -59,7 +59,6 @@ __all__ = [
     "rotation_x",
     "rotation_z",
     "rotation_xz",
-    "rotation_matrix",
     "project",
 ]
 
@@ -366,11 +365,6 @@ def rotation_xz(theta: float, lam: float) -> np.ndarray:
     )
 
 
-def rotation_matrix(orientation: Orientation) -> np.ndarray:
-    """Camera-to-world rotation for an :class:`Orientation` (yaw fixed at 0)."""
-    return rotation_xz(orientation.pitch, orientation.roll)
-
-
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
@@ -385,7 +379,7 @@ def _project_uv(
     intrinsic map and then the distortion map.  Rows with depth <= 0 come out
     as NaN instead of raising.
     """
-    cam = world @ rotation_matrix(orientation)  # rows are R.T @ w
+    cam = world @ rotation_xz(orientation.pitch, orientation.roll)  # rows are R.T @ w
     z = cam[..., 2:]
     xy = cam[..., :2] / np.where(z > 0.0, z, np.nan)
     return _distort_uv(_denormalize_xy(xy, k), k, d)
@@ -414,7 +408,7 @@ def project(
         BehindCamera: the rotated point has depth <= 0.
     """
     q = np.array([w.x, w.y, w.z])
-    depth = float((q @ rotation_matrix(orientation))[2])
+    depth = float((q @ rotation_xz(orientation.pitch, orientation.roll))[2])
     if depth <= 0.0:
         raise BehindCamera(f"point has non-positive camera depth {depth:.6g} m")
     u, v = _project_uv(q, k, d, orientation)

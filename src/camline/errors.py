@@ -11,8 +11,7 @@ Two families matter to callers (and to the CLI's exit codes):
 
 __all__ = [
     "CamlineError", "ConfigError", "GeometryError", "NonConvergent", "BehindCamera",
-    "RayParallelToPlane", "RayAwayFromPlane", "DegenerateLine", "DegenerateGeometry",
-    "NoHorizonIntersection", "TooFewVisible",
+    "DegenerateLine", "DegenerateGeometry", "NoHorizonIntersection", "TooFewVisible",
 ]
 
 
@@ -39,14 +38,6 @@ class NonConvergent(GeometryError):
 
 class BehindCamera(GeometryError):
     """A 3D point has non-positive depth in the camera frame."""
-
-
-class RayParallelToPlane(GeometryError):
-    """A back-projected ray runs (numerically) parallel to the ground plane."""
-
-
-class RayAwayFromPlane(GeometryError):
-    """A back-projected ray points above the horizon, away from the plane."""
 
 
 class DegenerateLine(GeometryError):

@@ -30,15 +30,9 @@ from .core_geometry import (
     SceneConstraints,
     _normalize_uv,
     _undistort_uv,
-    rotation_matrix,
+    rotation_xz,
 )
-from .errors import (
-    DegenerateGeometry,
-    DegenerateLine,
-    NoHorizonIntersection,
-    RayAwayFromPlane,
-    RayParallelToPlane,
-)
+from .errors import DegenerateGeometry, DegenerateLine, NoHorizonIntersection
 
 __all__ = [
     "ReferenceLineObservation",
@@ -50,8 +44,9 @@ __all__ = [
     "residual_z_spread",
 ]
 
-# Rays with |y| below this are treated as horizon hits: the nominal
-# intersection would sit ~1e12 m away and poison any residual built on it.
+# Rays with y below this miss the plane: a negative y points above the
+# horizon, and a tiny positive one would meet the plane ~1e12 m away and
+# poison any residual built on it.
 HORIZON_EPS = 1e-12
 
 
@@ -183,17 +178,14 @@ def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> np.ndarray:
     world points whose ``y`` is ``c0`` exactly.
 
     Raises:
-        RayParallelToPlane: some ray runs along the horizon (|y| < 1e-12).
-        RayAwayFromPlane: some ray points above the horizon.
+        NoHorizonIntersection: some ray's y component is below ``HORIZON_EPS``,
+            so it runs along or above the horizon.
     """
     rays = np.concatenate([norm, np.ones(norm.shape[:-1] + (1,))], axis=-1) @ rot.T
     y = rays[..., 1]
-    if np.any(np.abs(y) < HORIZON_EPS):
-        n_bad = int(np.count_nonzero(np.abs(y) < HORIZON_EPS))
-        raise RayParallelToPlane(f"{n_bad} point(s) back-project along the horizon")
-    if np.any(y < 0.0):
-        n_bad = int(np.count_nonzero(y < 0.0))
-        raise RayAwayFromPlane(f"{n_bad} point(s) back-project above the horizon")
+    n_bad = int(np.count_nonzero(y < HORIZON_EPS))
+    if n_bad:
+        raise NoHorizonIntersection(f"{n_bad} point(s) back-project at or above the horizon")
     points = c0 * rays / y[..., None]
     points[..., 1] = c0
     return points
@@ -201,7 +193,7 @@ def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> np.ndarray:
 
 def _depth_stats(norm: np.ndarray, orientation: Orientation, c0: float) -> ZSpread:
     """Depth spread and mean depth of normalized points (N, 2) back-projected to the plane."""
-    depths = _plane_points(norm, rotation_matrix(orientation), c0)[:, 2]
+    depths = _plane_points(norm, rotation_xz(orientation.pitch, orientation.roll), c0)[:, 2]
     return ZSpread(float(depths.max() - depths.min()), float(depths.mean()))
 
 
@@ -232,13 +224,7 @@ def estimate_orientation(
     pitch = estimate_pitch(height, sc)
 
     orientation = Orientation(roll=roll, pitch=pitch)
-    try:
-        spread, mean_depth = _depth_stats(norm, orientation, sc.c0)
-    except (RayParallelToPlane, RayAwayFromPlane) as exc:
-        raise NoHorizonIntersection(
-            f"estimated orientation sends line pixels to the horizon: {exc}"
-        ) from exc
-
+    spread, mean_depth = _depth_stats(norm, orientation, sc.c0)
     return OrientationEstimate(orientation, spread, mean_depth - sc.z0)
 
 
@@ -254,6 +240,11 @@ def residual_z_spread(
     Quantifies how close the given orientation comes to making every observed
     line pixel land at one common depth on the plane; zero spread means the
     orientation is consistent with the observation.
+
+    Raises:
+        NonConvergent: a pixel could not be undistorted.
+        NoHorizonIntersection: some pixel back-projects at or above the
+            horizon under ``orientation``.
     """
     norm = _normalize_uv(_undistort_uv(obs.uv_array(), k, d), k)
     return _depth_stats(norm, orientation, c0)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,6 @@ __all__ = [
     "run_trial",
     "sweep",
     "write_sweep_csv",
-    "SWEEP_CSV_HEADER",
-    "default_intrinsics",
     "DEFAULT_IMAGE_WIDTH",
     "DEFAULT_IMAGE_HEIGHT",
 ]
@@ -47,14 +46,13 @@ DEFAULT_IMAGE_WIDTH = 1280
 DEFAULT_IMAGE_HEIGHT = 720
 
 
-def default_intrinsics() -> Intrinsics:
-    """Desk-scale defaults: 1000 px focal lengths, principal point at 1280x720 centre."""
-    return Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
-
-
 @dataclass(frozen=True)
 class SyntheticScene:
-    """Ground truth and rendering knobs for one synthetic trial."""
+    """Ground truth and rendering knobs for one synthetic trial.
+
+    ``image_width`` x ``image_height`` is the image the line is rendered
+    into, in pixels.
+    """
 
     ground_truth: Orientation
     sc: SceneConstraints
@@ -64,6 +62,8 @@ class SyntheticScene:
     n_points: int = 101
     noise_sigma: float = 0.0
     rng_seed: int = 0
+    image_width: int = DEFAULT_IMAGE_WIDTH
+    image_height: int = DEFAULT_IMAGE_HEIGHT
 
     def __post_init__(self) -> None:
         if self.n_points < 2:
@@ -72,6 +72,8 @@ class SyntheticScene:
             raise ValueError(f"line_x_extent must be > 0, got {self.line_x_extent}")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # A float, so that an int sigma still writes as "0.0" in the sweep CSV.
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +82,8 @@ class TrialReport:
 
     ``roll_error``/``pitch_error`` are signed (estimate minus ground truth).
     Failed trials carry NaN errors and the failure message instead of
-    aborting a sweep.  Field order matches the sweep CSV columns.
+    aborting a sweep.  The sweep CSV has one column per field, in field
+    order, named after the field.
     """
 
     seed: int
@@ -95,18 +98,15 @@ class TrialReport:
     failure: str | None = None
 
 
-def render_line(
-    scene: SyntheticScene,
-    image_width: int = DEFAULT_IMAGE_WIDTH,
-    image_height: int = DEFAULT_IMAGE_HEIGHT,
-) -> ReferenceLineObservation:
+def render_line(scene: SyntheticScene) -> ReferenceLineObservation:
     """Render the reference line through the forward model.
 
     Projects ``n_points`` world points evenly spaced along the line through
     the ground-truth rotation (camera at the origin), applies distortion, adds
-    seeded Gaussian pixel noise, and keeps points inside
-    ``[0, width) x [0, height)`` whose ideal pixel is on the unfolded branch
-    of the lens map (past the fold, undistortion finds a different point).
+    seeded Gaussian pixel noise, and keeps points inside the scene's
+    ``[0, image_width) x [0, image_height)`` image whose ideal pixel is on the
+    unfolded branch of the lens map (past the fold, undistortion finds a
+    different point).
     Bit-identical for identical scenes.
 
     Raises:
@@ -124,23 +124,21 @@ def render_line(
     rng = np.random.default_rng(scene.rng_seed)
     uv = np.column_stack([u, v]) + rng.normal(0.0, scene.noise_sigma, size=(n, 2))
 
-    inside = (uv >= 0.0) & (uv < (image_width, image_height))
+    width, height = scene.image_width, scene.image_height
+    inside = (uv >= 0.0) & (uv < (width, height))
     keep = unfolded & inside.all(axis=1)
     n_visible = int(np.count_nonzero(keep))
     if n_visible < 2:
         raise TooFewVisible(
             f"only {n_visible} of {n} line points project inside the "
-            f"{image_width}x{image_height} image"
+            f"{width}x{height} image"
         )
     return ReferenceLineObservation.from_array(uv[keep])
 
 
-def run_trial(
-    scene: SyntheticScene,
-    image_dims: tuple[int, int] = (DEFAULT_IMAGE_WIDTH, DEFAULT_IMAGE_HEIGHT),
-) -> TrialReport:
+def run_trial(scene: SyntheticScene) -> TrialReport:
     """Render one scene, run the estimator, report signed errors and residuals."""
-    obs = render_line(scene, image_dims[0], image_dims[1])
+    obs = render_line(scene)
     est = estimate_orientation(obs, scene.k, scene.d, scene.sc)
     gt = scene.ground_truth
     return TrialReport(
@@ -175,8 +173,6 @@ class SweepConfig:
     seeds_per_cell: int
     base_seed: int = 0
     k1_scales: tuple[float, ...] = (1.0,)
-    image_width: int = DEFAULT_IMAGE_WIDTH
-    image_height: int = DEFAULT_IMAGE_HEIGHT
 
 
 def sweep(config: SweepConfig) -> list[TrialReport]:
@@ -196,7 +192,8 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
         trials.append((Orientation(roll=roll, pitch=pitch), config.base_seed + j))
     reports: list[TrialReport] = []
     for sigma in config.noise_sigmas:
-        for k1_scale in config.k1_scales:
+        # An int scale would write as "1", not "1.0", in the sweep CSV.
+        for k1_scale in map(float, config.k1_scales):
             d = replace(base.d, k1=base.d.k1 * k1_scale)
             for gt, seed in trials:
                 scene = replace(
@@ -207,14 +204,11 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
                     rng_seed=seed,
                 )
                 try:
-                    report = replace(
-                        run_trial(scene, (config.image_width, config.image_height)),
-                        k1_scale=k1_scale,
-                    )
+                    report = replace(run_trial(scene), k1_scale=k1_scale)
                 except GeometryError as exc:
                     report = TrialReport(
                         seed=seed,
-                        noise_sigma=sigma,
+                        noise_sigma=scene.noise_sigma,
                         k1_scale=k1_scale,
                         roll_gt=gt.roll,
                         pitch_gt=gt.pitch,
@@ -228,40 +222,13 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
     return reports
 
 
-SWEEP_CSV_HEADER = (
-    "seed",
-    "noise_sigma",
-    "k1_scale",
-    "roll_gt",
-    "pitch_gt",
-    "roll_error",
-    "pitch_error",
-    "residual_z_spread",
-    "n_visible",
-    "failure",
-)
-
-
 def write_sweep_csv(reports: list[TrialReport], path: str | Path) -> None:
-    """Write one CSV row per report with the fixed header, full float precision.
+    """Write a header of :class:`TrialReport`'s field names, then one row per report.
 
-    ``failure`` is empty for a trial that succeeded.
+    Floats keep full precision; ``failure`` is empty for a trial that succeeded.
     """
+    names = [f.name for f in fields(TrialReport)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.seed,
-                    repr(float(r.noise_sigma)),
-                    repr(float(r.k1_scale)),
-                    repr(float(r.roll_gt)),
-                    repr(float(r.pitch_gt)),
-                    repr(float(r.roll_error)),
-                    repr(float(r.pitch_error)),
-                    repr(float(r.residual_z_spread)),
-                    r.n_visible,
-                    r.failure or "",
-                ]
-            )
+        writer.writerow(names)
+        writer.writerows(map(attrgetter(*names), reports))

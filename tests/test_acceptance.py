@@ -22,13 +22,11 @@ from camline import (
     SyntheticScene,
     TooFewVisible,
     WorldPoint,
-    default_intrinsics,
     estimate_orientation,
     estimate_pitch,
     project,
     render_line,
     residual_z_spread,
-    rotation_matrix,
     rotation_x,
     rotation_xz,
     rotation_z,
@@ -58,10 +56,16 @@ def _sample_scenes(rng: np.random.Generator, count: int, k: Intrinsics, d: Disto
             pitch=float(rng.uniform(math.radians(5.0), math.radians(60.0))),
         )
         scene = SyntheticScene(
-            ground_truth=gt, sc=sc, k=k, d=d, rng_seed=int(rng.integers(2**31))
+            ground_truth=gt,
+            sc=sc,
+            k=k,
+            d=d,
+            rng_seed=int(rng.integers(2**31)),
+            image_width=IMAGE_W,
+            image_height=IMAGE_H,
         )
         try:
-            obs = render_line(scene, IMAGE_W, IMAGE_H)
+            obs = render_line(scene)
         except TooFewVisible:
             continue
         scenes.append((scene, obs))
@@ -141,7 +145,7 @@ def test_criterion_3_projection_back_projection_round_trip(default_k):
             if not (0.0 <= pix.u < IMAGE_W and 0.0 <= pix.v < IMAGE_H):
                 continue
             norm = _normalize_uv(_undistort_uv(np.array([pix.u, pix.v]), default_k, d), default_k)
-            x, _, z = _plane_points(norm, rotation_matrix(orientation), c0)
+            x, _, z = _plane_points(norm, rotation_xz(orientation.pitch, orientation.roll), c0)
             worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
         results[label] = (worst, tol)
@@ -267,11 +271,11 @@ def test_criterion_6_cli_closed_loop(tmp_path, capsys):
     assert ok
 
 
-def test_criterion_7_noise_sweep_characterization(sc):
+def test_criterion_7_noise_sweep_characterization(default_k, sc):
     base = SyntheticScene(
         ground_truth=Orientation(),  # overwritten per trial
         sc=sc,
-        k=default_intrinsics(),
+        k=default_k,
     )
     aim = math.atan2(sc.c0, sc.z0)
     config = SweepConfig(

@@ -18,7 +18,6 @@ from camline import (
     PixelPoint,
     WorldPoint,
     project,
-    rotation_matrix,
     rotation_x,
     rotation_xz,
     rotation_z,
@@ -251,12 +250,6 @@ class TestRotations:
         m = rotation_xz(theta, lam)
         assert np.max(np.abs(m.T @ m - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
-
-    @given(roll=angles, pitch=angles)
-    @settings(deadline=None)
-    def test_rotation_matrix_matches_components(self, roll, pitch):
-        m = rotation_matrix(Orientation(roll=roll, pitch=pitch))
-        assert np.array_equal(m, rotation_xz(pitch, roll))
 
 
 # ---------------------------------------------------------------------------

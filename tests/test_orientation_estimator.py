@@ -313,6 +313,13 @@ class TestResidualZSpread:
         assert spread == pytest.approx(abs(z[0] - z[1]), abs=1e-12)
         assert mean_depth == pytest.approx((z[0] + z[1]) / 2.0, abs=1e-12)
 
+    def test_pixels_above_the_horizon_raise(self, default_k, zero_d, sc):
+        # Pixels below the principal point, under a camera pitched 0.3 rad up:
+        # every ray rises, so none of them meets the plane.
+        obs = render_line(SyntheticScene(ground_truth=Orientation(pitch=0.5), sc=sc, k=default_k))
+        with pytest.raises(NoHorizonIntersection):
+            residual_z_spread(obs, default_k, zero_d, Orientation(pitch=-0.3), sc.c0)
+
 
 class TestOracleEquivalence:
     def test_random_scenes_recover_ground_truth(self, default_k, zero_d):

@@ -6,23 +6,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camline import (
     Intrinsics,
+    NoHorizonIntersection,
     Orientation,
-    RayAwayFromPlane,
-    RayParallelToPlane,
     SceneConstraints,
     WorldPoint,
     project,
-    rotation_matrix,
     rotation_x,
     rotation_xz,
 )
 from camline.core_geometry import _normalize_uv, _undistort_uv
-from camline.orientation_estimator import _plane_points
+from camline.orientation_estimator import HORIZON_EPS, _plane_points
 
 
 def back_project(u, v, k, rot, c0, d=None):
@@ -90,13 +88,32 @@ class TestBackProjectToPlane:
         assert z == pytest.approx(2.0, abs=1e-12)
 
     def test_level_camera_is_parallel_to_plane(self, default_k):
-        with pytest.raises(RayParallelToPlane):
+        with pytest.raises(NoHorizonIntersection):
             back_project(default_k.cx, default_k.cy, default_k, np.eye(3), 2.0)
 
     def test_pixel_above_horizon(self, default_k):
         # v far above the centre overcomes a 0.3 rad downward pitch.
-        with pytest.raises(RayAwayFromPlane):
+        with pytest.raises(NoHorizonIntersection):
             back_project(default_k.cx, default_k.cy - 2000.0, default_k, rotation_x(0.3), 2.0)
+
+    @given(
+        y=st.floats(min_value=-4 * HORIZON_EPS, max_value=4 * HORIZON_EPS),
+        xn=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @example(y=-HORIZON_EPS / 2, xn=0.0)
+    @example(y=0.0, xn=0.0)
+    @example(y=HORIZON_EPS / 2, xn=0.0)
+    @example(y=2 * HORIZON_EPS, xn=0.0)
+    @settings(deadline=None)
+    def test_one_mask_at_the_horizon(self, y, xn):
+        # Unrotated, a ray's y component is its yn exactly.  One ray at the
+        # boundary fails the whole call, even beside a ray that meets the plane.
+        norm = np.array([[xn, y], [0.0, 0.5]])
+        if y < HORIZON_EPS:
+            with pytest.raises(NoHorizonIntersection, match="^1 point"):
+                _plane_points(norm, np.eye(3), 2.0)
+        else:
+            assert _plane_points(norm, np.eye(3), 2.0)[0, 1] == 2.0
 
     @given(
         theta=st.floats(min_value=0.15, max_value=1.2),
@@ -131,7 +148,7 @@ class TestUndistortThenBackProject:
             )
             c0 = rng.uniform(0.5, 5.0)
             w = WorldPoint(rng.uniform(-3.0, 3.0), c0, rng.uniform(0.5, 10.0))
-            rot = rotation_matrix(orientation)
+            rot = rotation_xz(orientation.pitch, orientation.roll)
             try:
                 pix = project(w, default_k, mild_d, orientation)
             except Exception:
@@ -157,7 +174,7 @@ class TestUndistortThenBackProject:
                 pix = project(w, default_k, zero_d, orientation)
             except Exception:
                 continue
-            rot = rotation_matrix(orientation)
+            rot = rotation_xz(orientation.pitch, orientation.roll)
             x, _, z = back_project(pix.u, pix.v, default_k, rot, c0, zero_d)
             worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
@@ -167,5 +184,6 @@ class TestUndistortThenBackProject:
         # A point above the camera projects fine but its ray never descends.
         orientation = Orientation(roll=0.0, pitch=0.3)
         pix = project(WorldPoint(0.0, -1.0, 5.0), default_k, zero_d, orientation)
-        with pytest.raises(RayAwayFromPlane):
-            back_project(pix.u, pix.v, default_k, rotation_matrix(orientation), 2.0, zero_d)
+        rot = rotation_xz(orientation.pitch, orientation.roll)
+        with pytest.raises(NoHorizonIntersection):
+            back_project(pix.u, pix.v, default_k, rot, 2.0, zero_d)

@@ -16,43 +16,37 @@ from camline import (
     SweepConfig,
     SyntheticScene,
     TooFewVisible,
-    default_intrinsics,
     render_line,
-    rotation_matrix,
+    rotation_xz,
     run_trial,
     sweep,
     write_sweep_csv,
 )
 from camline.core_geometry import _normalize_uv, _undistort_uv
 from camline.orientation_estimator import _plane_points
-from camline.synthetic_rig import SWEEP_CSV_HEADER
 
 
 @pytest.fixture
-def base_scene(sc):
+def base_scene(default_k, sc):
     return SyntheticScene(
         ground_truth=Orientation(roll=0.03, pitch=math.atan2(sc.c0, sc.z0)),
         sc=sc,
-        k=default_intrinsics(),
+        k=default_k,
     )
 
 
 class TestSceneValidation:
-    def test_needs_two_points(self, sc):
+    def test_needs_two_points(self, default_k, sc):
         with pytest.raises(ValueError, match="n_points"):
-            SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_intrinsics(), n_points=1)
+            SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, n_points=1)
 
-    def test_rejects_negative_noise(self, sc):
+    def test_rejects_negative_noise(self, default_k, sc):
         with pytest.raises(ValueError, match="noise_sigma"):
-            SyntheticScene(
-                ground_truth=Orientation(), sc=sc, k=default_intrinsics(), noise_sigma=-0.1
-            )
+            SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, noise_sigma=-0.1)
 
-    def test_rejects_non_positive_extent(self, sc):
+    def test_rejects_non_positive_extent(self, default_k, sc):
         with pytest.raises(ValueError, match="line_x_extent"):
-            SyntheticScene(
-                ground_truth=Orientation(), sc=sc, k=default_intrinsics(), line_x_extent=0.0
-            )
+            SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, line_x_extent=0.0)
 
     def test_line_behind_camera_rejected_by_constraints(self):
         with pytest.raises(ValueError, match="z0"):
@@ -60,10 +54,10 @@ class TestSceneValidation:
 
 
 class TestRenderLine:
-    def test_aimed_camera_centres_the_line(self, sc):
+    def test_aimed_camera_centres_the_line(self, default_k, sc):
         # Pitch aimed exactly at the line: the X=0 point lands on the
         # principal point.
-        k = default_intrinsics()
+        k = default_k
         scene = SyntheticScene(
             ground_truth=Orientation(roll=0.0, pitch=math.atan2(sc.c0, sc.z0)),
             sc=sc,
@@ -95,10 +89,19 @@ class TestRenderLine:
         with pytest.raises(TooFewVisible):
             render_line(replace(base_scene, ground_truth=Orientation(roll=0.0, pitch=0.0)))
 
-    def test_render_then_back_project_recovers_world_points(self, sc):
+    def test_image_size_comes_from_the_scene(self, base_scene):
+        full = render_line(base_scene).uv_array()
+        narrow = render_line(replace(base_scene, image_width=800)).uv_array()
+        assert full[:, 0].max() >= 800.0
+        assert narrow[:, 0].max() < 800.0
+        assert len(narrow) == np.count_nonzero(full[:, 0] < 800.0)
+        with pytest.raises(TooFewVisible, match="1280x1 image"):
+            render_line(replace(base_scene, image_height=1))
+
+    def test_render_then_back_project_recovers_world_points(self, default_k, sc):
         # Fully visible, noise-free, distorted scene: inverting the forward
         # model under the ground-truth rotation must reproduce the line.
-        k = default_intrinsics()
+        k = default_k
         d = DistortionCoefficients(k1=-1e-8)
         scene = SyntheticScene(
             ground_truth=Orientation(roll=0.02, pitch=math.atan2(sc.c0, sc.z0)),
@@ -110,21 +113,21 @@ class TestRenderLine:
         )
         obs = render_line(scene)
         assert len(obs) == scene.n_points
-        rot = rotation_matrix(scene.ground_truth)
+        rot = rotation_xz(scene.ground_truth.pitch, scene.ground_truth.roll)
         xs = np.linspace(-1.0, 1.0, 21)
         for x_true, uv in zip(xs, obs.uv_array()):
             x, _, z = _plane_points(_normalize_uv(_undistort_uv(uv, k, d), k), rot, sc.c0)
             assert x == pytest.approx(x_true, abs=1e-6)
             assert z == pytest.approx(sc.z0, abs=1e-6)
 
-    def test_points_past_the_fold_are_dropped(self, sc):
+    def test_points_past_the_fold_are_dropped(self, default_k, sc):
         # At this pose 4 of the 101 points have an ideal radius beyond the
         # fold radius 1/sqrt(3|k1|) = 913 px; distortion folds them back into
         # the image, where undistortion would return other points.
         scene = SyntheticScene(
             ground_truth=Orientation(roll=0.0033794683234061873, pitch=0.8996420761884567),
             sc=sc,
-            k=default_intrinsics(),
+            k=default_k,
             d=DistortionCoefficients(k1=-4e-7, p1=1e-6),
         )
         report = run_trial(scene)
@@ -200,6 +203,16 @@ class TestSweep:
             medians.append(float(np.median(errs)))
         assert medians[0] <= medians[1] <= medians[2]
 
+    def test_trials_render_into_the_scene_image(self, base_scene):
+        # A replay of each trial through render_line(scene) sees the same image.
+        scene = replace(base_scene, image_width=800, image_height=600)
+        reports = sweep(self._config(scene, noise_sigmas=(0.5,)))
+        for r in reports:
+            gt = Orientation(roll=r.roll_gt, pitch=r.pitch_gt)
+            replay = replace(scene, ground_truth=gt, noise_sigma=0.5, rng_seed=r.seed)
+            assert r.n_visible == len(render_line(replay))
+            assert r.n_visible < len(render_line(replace(replay, image_width=1280)))
+
     def test_k1_scale_axis(self, base_scene):
         scene = replace(base_scene, d=DistortionCoefficients(k1=-1e-8))
         reports = sweep(
@@ -247,7 +260,10 @@ class TestSweepCsv:
         path = tmp_path / "sweep.csv"
         write_sweep_csv(reports, path)
         text = path.read_text()
-        assert text.splitlines()[0] == ",".join(SWEEP_CSV_HEADER)
+        assert text.splitlines()[0] == (
+            "seed,noise_sigma,k1_scale,roll_gt,pitch_gt,"
+            "roll_error,pitch_error,residual_z_spread,n_visible,failure"
+        )
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(reports)
@@ -258,6 +274,38 @@ class TestSweepCsv:
             assert float(row["pitch_error"]) == report.pitch_error
             assert int(row["n_visible"]) == report.n_visible
             assert row["failure"] == ""
+
+    def test_int_axis_values_write_as_floats(self, base_scene, tmp_path):
+        reports = sweep(
+            SweepConfig(
+                base_scene=base_scene,
+                noise_sigmas=(0, 1),
+                roll_range=(-0.05, 0.05),
+                pitch_range=(0.5, 0.65),
+                seeds_per_cell=1,
+                k1_scales=(1,),
+            )
+        )
+        reports.append(run_trial(replace(base_scene, noise_sigma=0)))
+        # A failed trial writes its axis values the same way.
+        reports += sweep(
+            SweepConfig(
+                base_scene=base_scene,
+                noise_sigmas=(0,),
+                roll_range=(-0.05, 0.05),
+                pitch_range=(0.0, 0.001),
+                seeds_per_cell=1,
+                k1_scales=(2,),
+            )
+        )
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(reports, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["noise_sigma"], row["k1_scale"]) for row in rows] == [
+            ("0.0", "1.0"), ("1.0", "1.0"), ("0.0", "1.0"), ("0.0", "2.0")
+        ]
+        assert rows[-1]["failure"].startswith("TooFewVisible: ")
 
     def test_failure_round_trips(self, base_scene, tmp_path):
         # Pitch range around zero: the camera never sees the line.
