@@ -256,29 +256,42 @@ def _undistort_uv(
     d: DistortionCoefficients,
     tol: float = 1e-9,
     max_iter: int = 50,
-) -> np.ndarray:
-    """Vectorized Newton inverse of :func:`_distort_uv`.
+) -> tuple[np.ndarray, list[NonConvergent | None]]:
+    """Vectorized Newton inverse of :func:`_distort_uv`, converging per observation.
+
+    ``uv`` holds observations of N pixels each, ``(..., N, 2)``; a single
+    ``(2,)`` pixel is one observation of one pixel.  Returns the undistorted
+    pixels in ``uv``'s shape and, for each observation (leading axes
+    flattened in C order), ``None`` or the :class:`NonConvergent` it failed
+    with.  A failed observation's pixels come back as given.
 
     Starting from the target itself, each of at most ``max_iter`` rounds
-    evaluates the residual ``_distort_uv(q) - target`` and returns once every
-    point's residual is within ``tol`` pixels (Euclidean).  Otherwise it takes
-    the Newton step ``q <- q - J(q)^-1 residual``, where ``J`` is the analytic
-    Jacobian of the Brown-Conrady map (symmetric, since ``du'/dv == dv'/du``)
-    and each point's 2x2 system is solved in closed form.  With no lens the
-    first residual is zero, so one round returns the input unchanged.
+    evaluates the residual ``_distort_uv(q) - target``.  An observation is
+    done once its own worst residual is within ``tol`` pixels (Euclidean)
+    and takes no further step, so its pixels are bit-identical to those of a
+    call on that observation alone.  The others take the Newton step
+    ``q <- q - J(q)^-1 residual``, where ``J`` is the analytic Jacobian of
+    the Brown-Conrady map (symmetric, since ``du'/dv == dv'/du``) and each
+    point's 2x2 system is solved in closed form.  With no lens the first
+    residual is zero, so one round returns the input unchanged.
 
     Newton converges to whichever preimage it meets, so a solution is
     accepted only on the branch that contains the principal point: the
     radial factor and ``det J`` must both be positive there.  (With no lens
     both are 1 everywhere, so that check is skipped.)
 
-    Raises:
-        NonConvergent: the iteration diverged, did not reach ``tol`` within
-            ``max_iter`` rounds, or found a root on a folded branch.  This
-            happens for pixels outside the lens's invertible region.
+    An observation fails with :class:`NonConvergent` when its iteration
+    diverged, did not reach ``tol`` within ``max_iter`` rounds, or found a
+    root on a folded branch.  This happens for pixels outside the lens's
+    invertible region.
     """
     target = np.asarray(uv, dtype=float)
-    t_u, t_v = target[..., 0], target[..., 1]
+    obs = target.reshape((-1,) + target.shape[-2:]) if target.ndim > 1 else target.reshape(1, 1, 2)
+    out = obs.copy()
+    failures: list[NonConvergent | None] = [None] * len(obs)
+    index = np.arange(len(obs))  # the observations still iterating
+    # Contiguous components: ufuncs on strided 2-D views cost about twice as much.
+    t_u, t_v = obs.transpose(2, 0, 1).copy()
     u, v = t_u, t_v
     lens = any((d.k1, d.k2, d.k3, d.p1, d.p2))
     # A singular or overflowing step shows up as a non-finite residual in the
@@ -288,26 +301,45 @@ def _undistort_uv(
         for _ in range(max_iter):
             u_d, v_d, dx, dy, r2, radial = _distort_components(u, v, k, d)
             e_u, e_v = u_d - t_u, v_d - t_v
-            worst = float(np.max(np.hypot(e_u, e_v)))
-            if not math.isfinite(worst):
-                raise NonConvergent(
-                    "undistortion diverged; pixel outside the invertible lens region"
+            worst = np.hypot(e_u, e_v).max(axis=-1).tolist()
+            # A NaN or infinite residual stops its observation too: it diverged.
+            going = [tol < w < math.inf for w in worst]
+            if lens or any(going):
+                j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)
+            if not all(going):
+                # Without a lens, ``out`` already holds the converged targets.
+                good = []
+                on_branch = unfolded.all(axis=-1).tolist() if lens else []
+                for pos, (i, w, go) in enumerate(zip(index.tolist(), worst, going)):
+                    if go:
+                        continue
+                    if not w <= tol:
+                        failures[i] = NonConvergent(
+                            "undistortion diverged; pixel outside the invertible lens region"
+                        )
+                    elif lens and not on_branch[pos]:
+                        failures[i] = NonConvergent(
+                            "undistortion reached a folded branch of the lens map; "
+                            "pixel outside the invertible lens region"
+                        )
+                    elif lens:
+                        good.append(pos)
+                if good:
+                    # Views, not copies, when every observation left is good.
+                    rows = slice(None) if len(good) == len(index) else good
+                    out[index[rows]] = np.stack([u[rows], v[rows]], axis=-1)
+                if not any(going):
+                    return out.reshape(target.shape), failures
+                index, u, v, t_u, t_v, e_u, e_v, j_uu, j_uv, j_vv, det = (
+                    a[going] for a in (index, u, v, t_u, t_v, e_u, e_v, j_uu, j_uv, j_vv, det)
                 )
-            if worst <= tol and not lens:
-                return target.copy()
-            j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)
-            if worst <= tol:
-                if not np.all(unfolded):
-                    raise NonConvergent(
-                        "undistortion reached a folded branch of the lens map; "
-                        "pixel outside the invertible lens region"
-                    )
-                return np.stack([u, v], axis=-1)
             u = u - (j_vv * e_u - j_uv * e_v) / det
             v = v - (j_uu * e_v - j_uv * e_u) / det
-    raise NonConvergent(
-        f"undistortion did not reach tol={tol} px within {max_iter} iterations"
-    )
+    for i in index.tolist():
+        failures[i] = NonConvergent(
+            f"undistortion did not reach tol={tol} px within {max_iter} iterations"
+        )
+    return out.reshape(target.shape), failures
 
 
 def undistort(
@@ -327,7 +359,9 @@ def undistort(
         NonConvergent: iteration failed to converge or reached a folded
             branch of the map (``p`` outside the invertible lens region).
     """
-    out = _undistort_uv(np.array([p.u, p.v]), k, d, tol=tol, max_iter=max_iter)
+    out, (failure,) = _undistort_uv(np.array([p.u, p.v]), k, d, tol=tol, max_iter=max_iter)
+    if failure is not None:
+        raise failure
     return PixelPoint(float(out[0]), float(out[1]))
 
 
@@ -371,15 +405,16 @@ def rotation_xz(theta: float, lam: float) -> np.ndarray:
 
 
 def _project_uv(
-    world: np.ndarray, k: Intrinsics, d: DistortionCoefficients, orientation: Orientation
+    world: np.ndarray, k: Intrinsics, d: DistortionCoefficients, rot: np.ndarray
 ) -> np.ndarray:
     """Forward model on an (..., 3) array of world points: (..., 2) distorted pixels.
 
-    Rotates the points into the camera frame, divides by depth, applies the
-    intrinsic map and then the distortion map.  Rows with depth <= 0 come out
-    as NaN instead of raising.
+    ``rot`` is the camera-to-world rotation, (3, 3) or a stack (S, 3, 3);
+    a stack gives (S, ..., 2).  Rotates the points into the camera frame,
+    divides by depth, applies the intrinsic map and then the distortion map.
+    Rows with depth <= 0 come out as NaN instead of raising.
     """
-    cam = world @ rotation_xz(orientation.pitch, orientation.roll)  # rows are R.T @ w
+    cam = world @ rot  # rows are R.T @ w
     z = cam[..., 2:]
     xy = cam[..., :2] / np.where(z > 0.0, z, np.nan)
     return _distort_uv(_denormalize_xy(xy, k), k, d)
@@ -408,8 +443,9 @@ def project(
         BehindCamera: the rotated point has depth <= 0.
     """
     q = np.array([w.x, w.y, w.z])
-    depth = float((q @ rotation_xz(orientation.pitch, orientation.roll))[2])
+    rot = rotation_xz(orientation.pitch, orientation.roll)
+    depth = float((q @ rot)[2])
     if depth <= 0.0:
         raise BehindCamera(f"point has non-positive camera depth {depth:.6g} m")
-    u, v = _project_uv(q, k, d, orientation)
+    u, v = _project_uv(q, k, d, rot)
     return PixelPoint(float(u), float(v))

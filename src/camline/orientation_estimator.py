@@ -7,6 +7,11 @@ roll is its image angle, pitch comes from its de-rolled height.  A residual
 diagnostic back-projects every sample onto the plane and reports how far the
 recovered depths are from being constant and from ``z0``.
 
+Each stage is one kernel over a batch of T observations of N pixels,
+``(T, N, 2)`` with a ``(T, N)`` mask of the rows to use, that records a
+failure per observation instead of raising.  The public functions run a
+batch of one and raise its failure.
+
 Sign convention: world y increases downward (matching image v), and the
 observed plane lies a known height ``c0`` *below* the camera, i.e. at
 y = +c0.  A back-projected ray with a positive y component therefore descends
@@ -74,7 +79,10 @@ class ReferenceLineObservation:
 
     def uv_array(self) -> np.ndarray:
         """(N, 2) array of the observed pixel coordinates."""
-        return np.array([[p.u, p.v] for p in self.pixels])
+        # One flat list of floats builds faster than N two-element rows; the
+        # copy is C-ordered, which row-by-row readers such as from_array need.
+        us, vs = [p.u for p in self.pixels], [p.v for p in self.pixels]
+        return np.array(us + vs).reshape(2, -1).T.copy()
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -101,6 +109,33 @@ class ZSpread(NamedTuple):
     mean_depth: float
 
 
+def _raise_first(failures: list) -> None:
+    """Raise the first recorded failure, if any."""
+    for failure in failures:
+        if failure is not None:
+            raise failure
+
+
+def _pitch(heights: list[float], sc: SceneConstraints, failures: list) -> list[float]:
+    """Pitch of each observation from its line's de-rolled height.
+
+    Records :class:`DegenerateGeometry` where the denominator ``z0 + c0*y'``
+    vanishes; the pitch there is NaN.
+    """
+    pitches = []
+    for i, height in enumerate(heights):
+        den = sc.z0 + sc.c0 * height
+        if abs(den) < 1e-12:
+            if failures[i] is None:
+                failures[i] = DegenerateGeometry(
+                    f"pitch is unobservable: z0 + c0*y' = {den:.3e} vanishes"
+                )
+            pitches.append(math.nan)
+        else:
+            pitches.append(math.atan((sc.c0 - sc.z0 * height) / den))
+    return pitches
+
+
 def estimate_pitch(y0_normalized: float, sc: SceneConstraints) -> float:
     """Pitch angle from the de-rolled normalized height of the line.
 
@@ -114,43 +149,73 @@ def estimate_pitch(y0_normalized: float, sc: SceneConstraints) -> float:
         DegenerateGeometry: the denominator ``z0 + c0*y'`` vanishes, i.e. the
             line sits where pitch is unobservable.
     """
-    num = sc.c0 - sc.z0 * y0_normalized
-    den = sc.z0 + sc.c0 * y0_normalized
-    if abs(den) < 1e-12:
-        raise DegenerateGeometry(
-            f"pitch is unobservable: z0 + c0*y' = {den:.3e} vanishes"
-        )
-    return math.atan(num / den)
+    failures = [None]
+    (pitch,) = _pitch([y0_normalized], sc, failures)
+    _raise_first(failures)
+    return pitch
 
 
-def _fit_line(norm: np.ndarray) -> tuple[float, float]:
-    """Orthogonal-regression line through normalized points (N, 2).
+def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[float]]:
+    """Orthogonal-regression line through each observation's visible points.
 
-    Returns ``(roll, height)``: the angle ``0.5*atan2(2*Sxy, Sxx - Syy)`` of
-    the centred scatter's principal axis, wrapped into (-pi/2, pi/2], and the
-    de-rolled height ``cos(roll)*yn - sin(roll)*xn`` of the centroid, which
-    every point of the fitted line shares (Pearson 1901).
+    ``norm`` holds observations of N normalized points (..., N, 2) and
+    ``visible`` (..., N) marks the rows to fit, at least one per
+    observation.  Returns ``(roll, height)``, one float per observation
+    (leading axes flattened) in each: the angle
+    ``0.5*atan2(2*Sxy, Sxx - Syy)`` of the centred scatter's principal axis,
+    wrapped into (-pi/2, pi/2], and the de-rolled height
+    ``cos(roll)*yn - sin(roll)*xn`` of the centroid, which every point of
+    the fitted line shares (Pearson 1901).
     """
-    centroid = norm.mean(axis=0)
-    centred = norm - centroid
-    (sxx, sxy), (_, syy) = (centred.T @ centred).tolist()
-    roll = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
-    if roll <= -math.pi / 2:
-        roll += math.pi
-    x_mean, y_mean = centroid.tolist()
-    return roll, math.cos(roll) * y_mean - math.sin(roll) * x_mean
+    weights = visible[..., None, :].astype(float)
+    centroid = (weights @ norm)[..., 0, :] / visible.sum(axis=-1)[..., None]
+    centred = norm - centroid[..., None, :]
+    scatter = (centred.swapaxes(-1, -2) * weights) @ centred
+    rolls, heights = [], []
+    for ((sxx, sxy), (_, syy)), (x_mean, y_mean) in zip(
+        scatter.reshape(-1, 2, 2).tolist(), centroid.reshape(-1, 2).tolist()
+    ):
+        roll = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+        if roll <= -math.pi / 2:
+            roll += math.pi
+        rolls.append(roll)
+        heights.append(math.cos(roll) * y_mean - math.sin(roll) * x_mean)
+    return rolls, heights
 
 
 def _fit_observation(
-    obs: ReferenceLineObservation, k: Intrinsics, d: DistortionCoefficients
-) -> tuple[np.ndarray, float, float]:
-    """Undistort, span-check and normalize the pixels: ``(norm, *_fit_line(norm))``."""
-    und = _undistort_uv(obs.uv_array(), k, d)
-    span = float(np.hypot(*np.ptp(und, axis=0)))
-    if span <= 1.0:
-        raise DegenerateLine(f"line pixels span {span:.3g} px; they must span more than 1 px")
+    uv: np.ndarray, visible: np.ndarray, k: Intrinsics, d: DistortionCoefficients
+) -> tuple[np.ndarray, list[float], list[float], list]:
+    """Undistort, span-check, normalize and fit each observation's visible pixels.
+
+    ``uv`` is (T, N, 2) and ``visible`` (T, N), with at least one visible
+    row per observation.  Returns ``(norm, roll, height, failures)``, with
+    :class:`NonConvergent` or :class:`DegenerateLine` recorded per
+    observation.  Each row of ``norm`` that is not visible repeats a visible
+    one.
+    """
+    # A row that is not visible becomes a copy of the observation's first
+    # visible row: it converges, folds or diverges in the same round as that
+    # row, and leaves every maximum and minimum as it is.
+    if not visible.all():
+        first = uv[np.arange(len(uv)), visible.argmax(axis=-1)]
+        uv = np.where(visible[..., None], uv, first[:, None, :])
+    und, failures = _undistort_uv(uv, k, d)
+    u, v = und[..., 0], und[..., 1]
+    spans = np.hypot(u.max(axis=-1) - u.min(axis=-1), v.max(axis=-1) - v.min(axis=-1))
+    for i, span in enumerate(spans.tolist()):
+        if span <= 1.0 and failures[i] is None:
+            failures[i] = DegenerateLine(
+                f"line pixels span {span:.3g} px; they must span more than 1 px"
+            )
     norm = _normalize_uv(und, k)
-    return (norm, *_fit_line(norm))
+    return (norm, *_fit_line(norm, visible), failures)
+
+
+def _batch_of_one(obs: ReferenceLineObservation) -> tuple[np.ndarray, np.ndarray]:
+    """The observation as a batch of one: pixels (1, N, 2), every row visible."""
+    uv = obs.uv_array()[None]
+    return uv, np.ones(uv.shape[:-1], dtype=bool)
 
 
 def central_pixel(
@@ -163,38 +228,87 @@ def central_pixel(
         DegenerateLine: the undistorted pixels span 1 px or less, or the
             fitted line runs parallel to the centre column (|cos roll| < 1e-9).
     """
-    _, roll, height = _fit_observation(obs, k, d)
+    _, (roll,), (height,), failures = _fit_observation(*_batch_of_one(obs), k, d)
+    _raise_first(failures)
     cos_roll = math.cos(roll)
     if abs(cos_roll) < 1e-9:
         raise DegenerateLine(f"fitted line is parallel to the centre column (roll {roll:.6g} rad)")
     return height / cos_roll
 
 
-def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> np.ndarray:
+def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray]:
     """Intersect the rays through normalized points (..., 2) with the plane.
 
     Each ray is ``rot @ (xn, yn, 1)``, with ``rot`` the camera-to-world
-    rotation, scaled until its y component reaches ``c0``.  Returns (..., 3)
-    world points whose ``y`` is ``c0`` exactly.
-
-    Raises:
-        NoHorizonIntersection: some ray's y component is below ``HORIZON_EPS``,
-            so it runs along or above the horizon.
+    rotation, (3, 3) or one per observation (T, 3, 3) for points
+    (T, N, 2), scaled until its y component reaches ``c0``.  Returns
+    (..., 3) world points whose ``y`` is ``c0`` exactly, and the (...,) mask
+    of rays whose y component is below ``HORIZON_EPS``: they run along or
+    above the horizon and miss the plane, and their ``x`` and ``z`` are NaN.
     """
-    rays = np.concatenate([norm, np.ones(norm.shape[:-1] + (1,))], axis=-1) @ rot.T
+    ones = np.ones(norm.shape[:-1] + (1,))
+    rays = np.concatenate([norm, ones], axis=-1) @ rot.swapaxes(-1, -2)
     y = rays[..., 1]
-    n_bad = int(np.count_nonzero(y < HORIZON_EPS))
-    if n_bad:
-        raise NoHorizonIntersection(f"{n_bad} point(s) back-project at or above the horizon")
-    points = c0 * rays / y[..., None]
+    missed = y < HORIZON_EPS
+    points = c0 * rays / np.where(missed, np.nan, y)[..., None]
     points[..., 1] = c0
-    return points
+    return points, missed
 
 
-def _depth_stats(norm: np.ndarray, orientation: Orientation, c0: float) -> ZSpread:
-    """Depth spread and mean depth of normalized points (N, 2) back-projected to the plane."""
-    depths = _plane_points(norm, rotation_xz(orientation.pitch, orientation.roll), c0)[:, 2]
-    return ZSpread(float(depths.max() - depths.min()), float(depths.mean()))
+def _depth_stats(
+    norm: np.ndarray,
+    visible: np.ndarray,
+    rolls: list[float],
+    pitches: list[float],
+    c0: float,
+    failures: list,
+) -> tuple[list[float], list[float]]:
+    """Depth spread and mean depth of each observation's visible points on the plane.
+
+    ``norm`` is (T, N, 2) and ``visible`` (T, N), with one roll and pitch
+    per observation; each row that is not visible repeats a visible one, as
+    :func:`_fit_observation` leaves them.  Records
+    :class:`NoHorizonIntersection` for an observation with a visible point
+    at or above the horizon; its numbers are then NaN.
+    """
+    rot = np.array([rotation_xz(pitch, roll) for roll, pitch in zip(rolls, pitches)])
+    points, missed = _plane_points(norm, rot, c0)
+    # A row that is not visible repeats a visible one, so it misses only
+    # where that row does.
+    for i, any_missed in enumerate(missed.any(axis=-1).tolist()):
+        if any_missed and failures[i] is None:
+            n_missed = int(np.count_nonzero(missed[i] & visible[i]))
+            failures[i] = NoHorizonIntersection(
+                f"{n_missed} point(s) back-project at or above the horizon"
+            )
+    depths = points[..., 2]
+    spreads = depths.max(axis=-1) - depths.min(axis=-1)
+    weights = visible[..., None, :].astype(float)
+    means = (weights @ depths[..., None])[..., 0, 0] / visible.sum(axis=-1)
+    return spreads.tolist(), means.tolist()
+
+
+def _estimate(
+    uv: np.ndarray,
+    visible: np.ndarray,
+    k: Intrinsics,
+    d: DistortionCoefficients,
+    sc: SceneConstraints,
+) -> tuple[list[float], list[float], list[float], list[float], list]:
+    """:func:`estimate_orientation` over a batch of observations.
+
+    ``uv`` holds T observations of N pixels (T, N, 2), of which only the
+    ``visible`` (T, N) rows are used, at least 2 per observation.  Returns
+    one roll, pitch, depth spread and mean depth per observation, and per
+    observation ``None`` or the :class:`GeometryError` it failed with, the
+    first of ``NonConvergent``, ``DegenerateLine``, ``DegenerateGeometry``
+    and ``NoHorizonIntersection``.  A failed observation's numbers are
+    meaningless.
+    """
+    norm, rolls, heights, failures = _fit_observation(uv, visible, k, d)
+    pitches = _pitch(heights, sc, failures)
+    spreads, means = _depth_stats(norm, visible, rolls, pitches, sc.c0, failures)
+    return rolls, pitches, spreads, means, failures
 
 
 def estimate_orientation(
@@ -220,12 +334,11 @@ def estimate_orientation(
         NoHorizonIntersection: some pixel back-projects at or above the
             horizon under the estimated rotation (grossly wrong inputs).
     """
-    norm, roll, height = _fit_observation(obs, k, d)
-    pitch = estimate_pitch(height, sc)
-
-    orientation = Orientation(roll=roll, pitch=pitch)
-    spread, mean_depth = _depth_stats(norm, orientation, sc.c0)
-    return OrientationEstimate(orientation, spread, mean_depth - sc.z0)
+    (roll,), (pitch,), (spread,), (mean_depth,), failures = _estimate(
+        *_batch_of_one(obs), k, d, sc
+    )
+    _raise_first(failures)
+    return OrientationEstimate(Orientation(roll=roll, pitch=pitch), spread, mean_depth - sc.z0)
 
 
 def residual_z_spread(
@@ -246,5 +359,10 @@ def residual_z_spread(
         NoHorizonIntersection: some pixel back-projects at or above the
             horizon under ``orientation``.
     """
-    norm = _normalize_uv(_undistort_uv(obs.uv_array(), k, d), k)
-    return _depth_stats(norm, orientation, c0)
+    uv, visible = _batch_of_one(obs)
+    und, failures = _undistort_uv(uv, k, d)
+    (spread,), (mean_depth,) = _depth_stats(
+        _normalize_uv(und, k), visible, [orientation.roll], [orientation.pitch], c0, failures
+    )
+    _raise_first(failures)
+    return ZSpread(spread, mean_depth)

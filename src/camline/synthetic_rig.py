@@ -26,9 +26,10 @@ from .core_geometry import (
     _distort_components,
     _distort_jacobian,
     _project_uv,
+    rotation_xz,
 )
-from .errors import GeometryError, TooFewVisible
-from .orientation_estimator import ReferenceLineObservation, estimate_orientation
+from .errors import TooFewVisible
+from .orientation_estimator import ReferenceLineObservation, _estimate, estimate_orientation
 
 __all__ = [
     "SyntheticScene",
@@ -72,6 +73,10 @@ class SyntheticScene:
             raise ValueError(f"line_x_extent must be > 0, got {self.line_x_extent}")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("image_width", "image_height"):
+            size = getattr(self, name)
+            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
+                raise ValueError(f"{name} must be a positive int, got {size!r}")
         # A float, so that an int sigma still writes as "0.0" in the sweep CSV.
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
@@ -98,6 +103,46 @@ class TrialReport:
     failure: str | None = None
 
 
+def _line_pixels(scene: SyntheticScene, poses: list[Orientation]) -> np.ndarray:
+    """Ideal (undistorted) pixels (S, N, 2) of the scene's line under each of S poses.
+
+    Rows with depth <= 0 are NaN, which is off the unfolded branch.
+    """
+    n = scene.n_points
+    xs = np.linspace(-scene.line_x_extent, scene.line_x_extent, n)
+    world = np.column_stack([xs, np.full(n, scene.sc.c0), np.full(n, scene.sc.z0)])
+    rot = np.stack([rotation_xz(pose.pitch, pose.roll) for pose in poses])
+    return _project_uv(world, scene.k, DistortionCoefficients(), rot)
+
+
+def _observe(
+    scene: SyntheticScene,
+    ideal: np.ndarray,
+    d: DistortionCoefficients,
+    noise: np.ndarray,
+    sigmas: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distort ideal pixels (S, N, 2) through ``d`` and add ``sigma * noise`` for each sigma.
+
+    Returns the observed pixels (len(sigmas), S, N, 2) and the visible mask
+    (len(sigmas), S, N): rows inside the scene's ``[0, image_width) x
+    [0, image_height)`` image whose ideal pixel is on the unfolded branch of
+    the lens map (past the fold, undistortion finds a different point).
+    """
+    u, v, *terms = _distort_components(ideal[..., 0], ideal[..., 1], scene.k, d)
+    unfolded = _distort_jacobian(*terms, d)[4]
+    uv = np.stack([u, v], axis=-1) + np.multiply.outer(sigmas, noise)
+    inside = (uv >= 0.0) & (uv < (scene.image_width, scene.image_height))
+    return uv, unfolded & inside.all(axis=-1)
+
+
+def _too_few_visible(n_visible: int, scene: SyntheticScene) -> TooFewVisible:
+    return TooFewVisible(
+        f"only {n_visible} of {scene.n_points} line points project inside the "
+        f"{scene.image_width}x{scene.image_height} image"
+    )
+
+
 def render_line(scene: SyntheticScene) -> ReferenceLineObservation:
     """Render the reference line through the forward model.
 
@@ -112,28 +157,14 @@ def render_line(scene: SyntheticScene) -> ReferenceLineObservation:
     Raises:
         TooFewVisible: fewer than 2 points land inside the image.
     """
-    n = scene.n_points
-    xs = np.linspace(-scene.line_x_extent, scene.line_x_extent, n)
-    world = np.column_stack([xs, np.full(n, scene.sc.c0), np.full(n, scene.sc.z0)])
-
-    # NaN rows for depth <= 0, which are off the unfolded branch.
-    ideal = _project_uv(world, scene.k, DistortionCoefficients(), scene.ground_truth)
-    u, v, *terms = _distort_components(ideal[:, 0], ideal[:, 1], scene.k, scene.d)
-    unfolded = _distort_jacobian(*terms, scene.d)[4]
-
-    rng = np.random.default_rng(scene.rng_seed)
-    uv = np.column_stack([u, v]) + rng.normal(0.0, scene.noise_sigma, size=(n, 2))
-
-    width, height = scene.image_width, scene.image_height
-    inside = (uv >= 0.0) & (uv < (width, height))
-    keep = unfolded & inside.all(axis=1)
+    ideal = _line_pixels(scene, [scene.ground_truth])
+    noise = np.random.default_rng(scene.rng_seed).standard_normal(ideal.shape)
+    uv, visible = _observe(scene, ideal, scene.d, noise, np.array([scene.noise_sigma]))
+    keep = visible[0, 0]
     n_visible = int(np.count_nonzero(keep))
     if n_visible < 2:
-        raise TooFewVisible(
-            f"only {n_visible} of {n} line points project inside the "
-            f"{width}x{height} image"
-        )
-    return ReferenceLineObservation.from_array(uv[keep])
+        raise _too_few_visible(n_visible, scene)
+    return ReferenceLineObservation.from_array(uv[0, 0][keep])
 
 
 def run_trial(scene: SyntheticScene) -> TrialReport:
@@ -174,51 +205,81 @@ class SweepConfig:
     base_seed: int = 0
     k1_scales: tuple[float, ...] = (1.0,)
 
+    def __post_init__(self) -> None:
+        for sigma in self.noise_sigmas:
+            if not math.isfinite(sigma) or sigma < 0.0:
+                raise ValueError(f"noise_sigmas must be finite and >= 0, got {sigma!r}")
+        for scale in self.k1_scales:
+            if not math.isfinite(scale):
+                raise ValueError(f"k1_scales must be finite, got {scale!r}")
+        if self.seeds_per_cell < 0:
+            raise ValueError(f"seeds_per_cell must be >= 0, got {self.seeds_per_cell}")
+        for name in ("roll_range", "pitch_range"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
 
 def sweep(config: SweepConfig) -> list[TrialReport]:
     """Run the full grid in deterministic grid-major order.
 
-    Individual trial failures are recorded in their report (NaN errors plus
-    the failure message); they never abort the sweep.
+    Each k1 scale is one batched render and estimate over every noise level
+    and seed.  Individual trial failures are recorded in their report (NaN
+    errors plus the failure message); they never abort the sweep.
     """
     base = config.base_scene
-    # Trial j's pose and seed depend only on (base_seed, j): draw them once
+    # float() returns a float as it is, so every report shares the config's
+    # objects; an int axis value would write as "1", not "1.0", in the CSV.
+    sigmas = [float(sigma) for sigma in config.noise_sigmas]
+    k1_scales = [float(scale) for scale in config.k1_scales]
+    if not (sigmas and k1_scales and config.seeds_per_cell):
+        return []
+    # Trial j's pose and noise depend only on (base_seed, j): draw them once
     # and share them across every cell.
-    trials = []
+    seeds, poses = [], []
     for j in range(config.seeds_per_cell):
         pose_rng = np.random.default_rng((config.base_seed, j))
         roll = float(pose_rng.uniform(*config.roll_range))
         pitch = float(pose_rng.uniform(*config.pitch_range))
-        trials.append((Orientation(roll=roll, pitch=pitch), config.base_seed + j))
+        seeds.append(config.base_seed + j)
+        poses.append(Orientation(roll=roll, pitch=pitch))
+    ideal = _line_pixels(base, poses)
+    n = base.n_points
+    noise = np.stack([np.random.default_rng(seed).standard_normal((n, 2)) for seed in seeds])
+
+    # Per k1 scale, the (roll_error, pitch_error, residual_z_spread,
+    # n_visible, failure) of each trial, noise level by noise level.
+    cells = []
+    for k1_scale in k1_scales:
+        d = replace(base.d, k1=base.d.k1 * k1_scale)
+        uv, visible = _observe(base, ideal, d, noise, np.array(sigmas))
+        uv, visible = uv.reshape(-1, n, 2), visible.reshape(-1, n)
+        n_visible = visible.sum(axis=-1).tolist()
+        rendered = [t for t, count in enumerate(n_visible) if count >= 2]
+        estimated = {}
+        if rendered:
+            estimates = _estimate(uv[rendered], visible[rendered], base.k, d, base.sc)
+            estimated = dict(zip(rendered, zip(*estimates)))
+        outcomes = []
+        for t, count in enumerate(n_visible):
+            if count < 2:
+                failure = _too_few_visible(count, base)
+            else:
+                roll, pitch, spread, _, failure = estimated[t]
+            if failure is None:
+                pose = poses[t % len(poses)]
+                outcomes.append((roll - pose.roll, pitch - pose.pitch, spread, count, None))
+            else:
+                failed = f"{type(failure).__name__}: {failure}"
+                outcomes.append((math.nan, math.nan, math.nan, 0, failed))
+        cells.append(outcomes)
+
     reports: list[TrialReport] = []
-    for sigma in config.noise_sigmas:
-        # An int scale would write as "1", not "1.0", in the sweep CSV.
-        for k1_scale in map(float, config.k1_scales):
-            d = replace(base.d, k1=base.d.k1 * k1_scale)
-            for gt, seed in trials:
-                scene = replace(
-                    base,
-                    ground_truth=gt,
-                    d=d,
-                    noise_sigma=sigma,
-                    rng_seed=seed,
-                )
-                try:
-                    report = replace(run_trial(scene), k1_scale=k1_scale)
-                except GeometryError as exc:
-                    report = TrialReport(
-                        seed=seed,
-                        noise_sigma=scene.noise_sigma,
-                        k1_scale=k1_scale,
-                        roll_gt=gt.roll,
-                        pitch_gt=gt.pitch,
-                        roll_error=math.nan,
-                        pitch_error=math.nan,
-                        residual_z_spread=math.nan,
-                        n_visible=0,
-                        failure=f"{type(exc).__name__}: {exc}",
-                    )
-                reports.append(report)
+    for s, sigma in enumerate(sigmas):
+        for k1_scale, outcomes in zip(k1_scales, cells):
+            for j, (pose, seed) in enumerate(zip(poses, seeds)):
+                reports.append(TrialReport(
+                    seed, sigma, k1_scale, pose.roll, pose.pitch, *outcomes[s * len(seeds) + j]
+                ))
     return reports
 
 

@@ -144,8 +144,12 @@ def test_criterion_3_projection_back_projection_round_trip(default_k):
                 continue
             if not (0.0 <= pix.u < IMAGE_W and 0.0 <= pix.v < IMAGE_H):
                 continue
-            norm = _normalize_uv(_undistort_uv(np.array([pix.u, pix.v]), default_k, d), default_k)
-            x, _, z = _plane_points(norm, rotation_xz(orientation.pitch, orientation.roll), c0)
+            und, (failure,) = _undistort_uv(np.array([pix.u, pix.v]), default_k, d)
+            norm = _normalize_uv(und, default_k)
+            (x, _, z), missed = _plane_points(
+                norm, rotation_xz(orientation.pitch, orientation.roll), c0
+            )
+            assert failure is None and not missed
             worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
         results[label] = (worst, tol)
@@ -171,7 +175,8 @@ def test_criterion_4_analytic_special_cases():
         x1, x2 = sorted(rng.uniform(-0.7, 0.7, size=2))
         if x2 - x1 < 1e-3:
             continue
-        worst_roll = max(worst_roll, abs(_fit_line(np.array([[x1, y], [x2, y]]))[0]))
+        (roll,), _ = _fit_line(np.array([[x1, y], [x2, y]]), np.ones(2, bool))
+        worst_roll = max(worst_roll, abs(roll))
 
     worst_matrix = 0.0
     for _ in range(100):

@@ -154,6 +154,13 @@ class TestSimulate:
                    "--pitch", "35", "--points", "1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("option, value", [("--width", "0"), ("--height", "-1")])
+    def test_bad_image_size_exits_1(self, tmp_path, config_path, capsys, option, value):
+        rc = main(["simulate", config_path, str(tmp_path / "line.csv"),
+                   "--pitch", "30", option, value])
+        assert rc == 1
+        assert f"image_{option[2:]}" in capsys.readouterr().err
+
 
 class TestProject:
     def test_on_axis_point(self, config_path, capsys):
@@ -189,8 +196,9 @@ class TestProject:
         u, v = map(float, capsys.readouterr().out.strip().split(","))
         rot = rotation_xz(math.radians(pitch_deg), math.radians(roll_deg))
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
-        und = _undistort_uv(np.array([u, v]), k, DistortionCoefficients(k1=-1e-8))
-        x, y, z = _plane_points(_normalize_uv(und, k), rot, 2.0)
+        und, (failure,) = _undistort_uv(np.array([u, v]), k, DistortionCoefficients(k1=-1e-8))
+        (x, y, z), missed = _plane_points(_normalize_uv(und, k), rot, 2.0)
+        assert failure is None and not missed
         assert x == pytest.approx(0.8, abs=1e-9)
         assert y == 2.0
         assert z == pytest.approx(3.5, abs=1e-9)

@@ -23,7 +23,7 @@ from camline import (
     rotation_z,
     undistort,
 )
-from camline.core_geometry import _denormalize_xy, _distort_uv, _normalize_uv
+from camline.core_geometry import _denormalize_xy, _distort_uv, _normalize_uv, _undistort_uv
 
 from conftest import axis_angle_matrix
 
@@ -211,6 +211,27 @@ class TestUndistort:
         d = DistortionCoefficients(k1=-1e-6)
         with pytest.raises(NonConvergent):
             undistort(PixelPoint(r, 0.0), k, d)
+
+    def test_each_observation_converges_on_its_own(self, default_k):
+        # Observation 1 holds a pixel just past the lens's reach.  It fails
+        # alone; observation 0 (3 rounds) and observation 2 (6 rounds) stop
+        # when they converge, so each matches a call on it alone bit for bit.
+        d = DistortionCoefficients(k1=-4e-7, p1=1e-6)
+        batch = np.array([
+            [[600.0, 350.0], [700.0, 380.0]],
+            [[45.08, 237.77], [300.0, 300.0]],
+            [[100.0, 300.0], [1200.0, 500.0]],
+        ])
+        und, failures = _undistort_uv(batch, default_k, d)
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], NonConvergent)
+        assert "within 50 iterations" in str(failures[1])
+        assert np.array_equal(und[1], batch[1])
+        for i in (0, 2):
+            alone, (failure,) = _undistort_uv(batch[i], default_k, d)
+            assert failure is None
+            assert np.array_equal(und[i], alone)
+            assert not np.array_equal(und[i], batch[i])
 
 
 # ---------------------------------------------------------------------------

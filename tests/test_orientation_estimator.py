@@ -37,7 +37,7 @@ coords = st.floats(min_value=-0.8, max_value=0.8)
 
 def _roll(x1, y1, x2, y2):
     """Roll that ``_fit_line`` gives for the line through two normalized points."""
-    return _fit_line(np.array([[x1, y1], [x2, y2]]))[0]
+    return _fit_line(np.array([[x1, y1], [x2, y2]]), np.ones(2, bool))[0][0]
 
 
 def _scene(roll, pitch, k, d=DistortionCoefficients(), sc=None, **kwargs):
@@ -63,6 +63,7 @@ class TestObservation:
         uv = np.array([[1.0, 2.0], [3.0, 4.5]])
         obs = ReferenceLineObservation.from_array(uv)
         assert np.array_equal(obs.uv_array(), uv)
+        assert obs.uv_array().flags.c_contiguous
         assert len(obs) == 2
 
 
@@ -114,7 +115,7 @@ class TestEstimatePitch:
         got = estimate_pitch(0.25, sc)
         assert got == pytest.approx(0.3430239404207034, abs=1e-14)
         # Independent check: the central pixel back-projects to depth z0.
-        p = _plane_points(np.array([0.0, 0.25]), rotation_x(got), sc.c0)
+        p, _ = _plane_points(np.array([0.0, 0.25]), rotation_x(got), sc.c0)
         assert p[2] == pytest.approx(sc.z0, abs=1e-10)
 
     def test_degenerate_denominator(self, sc):
@@ -308,7 +309,7 @@ class TestResidualZSpread:
                 [0.0, 0.0, 1.0],
             ]
         )
-        z = [_plane_points(_normalize_uv(uv, default_k), rot, sc.c0)[2] for uv in obs.uv_array()]
+        z = [_plane_points(_normalize_uv(uv, default_k), rot, sc.c0)[0][2] for uv in obs.uv_array()]
         spread, mean_depth = residual_z_spread(obs, default_k, zero_d, orientation, sc.c0)
         assert spread == pytest.approx(abs(z[0] - z[1]), abs=1e-12)
         assert mean_depth == pytest.approx((z[0] + z[1]) / 2.0, abs=1e-12)
@@ -317,7 +318,7 @@ class TestResidualZSpread:
         # Pixels below the principal point, under a camera pitched 0.3 rad up:
         # every ray rises, so none of them meets the plane.
         obs = render_line(SyntheticScene(ground_truth=Orientation(pitch=0.5), sc=sc, k=default_k))
-        with pytest.raises(NoHorizonIntersection):
+        with pytest.raises(NoHorizonIntersection, match=rf"^{len(obs)} point\(s\) back-project"):
             residual_z_spread(obs, default_k, zero_d, Orientation(pitch=-0.3), sc.c0)
 
 

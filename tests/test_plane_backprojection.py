@@ -20,14 +20,16 @@ from camline import (
     rotation_xz,
 )
 from camline.core_geometry import _normalize_uv, _undistort_uv
-from camline.orientation_estimator import HORIZON_EPS, _plane_points
+from camline.orientation_estimator import HORIZON_EPS, _depth_stats, _plane_points
 
 
 def back_project(u, v, k, rot, c0, d=None):
-    """Plane point (x, y, z) of pixel (u, v), undistorted first when ``d`` is given."""
+    """Plane point (x, y, z) of pixel (u, v), undistorted first when ``d`` is
+    given, and whether its ray misses the plane (the point is then NaN)."""
     uv = np.array([u, v])
     if d is not None:
-        uv = _undistort_uv(uv, k, d)
+        uv, (failure,) = _undistort_uv(uv, k, d)
+        assert failure is None
     return _plane_points(_normalize_uv(uv, k), rot, c0)
 
 
@@ -48,12 +50,14 @@ class TestInverseRay:
     def test_identity_rotation_optical_axis(self, default_k):
         # Unrotated, the column through the principal point keeps x = 0, and a
         # pixel fy/2 below the optical axis reaches the plane at z = 2 * c0.
-        p = back_project(default_k.cx, default_k.cy + default_k.fy / 2, default_k, np.eye(3), 2.0)
-        assert p.tolist() == [0.0, 2.0, 4.0]
+        p, missed = back_project(
+            default_k.cx, default_k.cy + default_k.fy / 2, default_k, np.eye(3), 2.0
+        )
+        assert p.tolist() == [0.0, 2.0, 4.0] and not missed
 
     def test_pitched_camera_optical_axis(self, default_k):
         theta = 0.4
-        x, y, z = back_project(default_k.cx, default_k.cy, default_k, rotation_x(theta), 2.0)
+        (x, y, z), _ = back_project(default_k.cx, default_k.cy, default_k, rotation_x(theta), 2.0)
         assert x == pytest.approx(0.0, abs=1e-15)
         assert y == 2.0
         assert z == pytest.approx(2.0 / math.tan(theta), abs=1e-12)
@@ -75,26 +79,31 @@ class TestInverseRay:
         ray_y = (rot @ [xn, yn, 1.0])[1]
         if ray_y < 1e-6:
             return  # at or above the horizon: no plane point to test
-        cam = rot.T @ back_project(u, v, k, rot, 2.0)
+        point, missed = back_project(u, v, k, rot, 2.0)
+        assert not missed
+        cam = rot.T @ point
         assert np.allclose(cam / cam[2], [xn, yn, 1.0], atol=1e-12)
 
 
 class TestBackProjectToPlane:
     def test_forty_five_degree_ray(self, default_k):
         # Optical axis pitched 45 degrees down from 2 m: hits the plane 2 m out.
-        x, y, z = back_project(default_k.cx, default_k.cy, default_k, rotation_x(math.pi / 4), 2.0)
+        (x, y, z), _ = back_project(
+            default_k.cx, default_k.cy, default_k, rotation_x(math.pi / 4), 2.0
+        )
         assert x == pytest.approx(0.0, abs=1e-12)
         assert y == 2.0
         assert z == pytest.approx(2.0, abs=1e-12)
 
     def test_level_camera_is_parallel_to_plane(self, default_k):
-        with pytest.raises(NoHorizonIntersection):
-            back_project(default_k.cx, default_k.cy, default_k, np.eye(3), 2.0)
+        assert back_project(default_k.cx, default_k.cy, default_k, np.eye(3), 2.0)[1]
 
     def test_pixel_above_horizon(self, default_k):
         # v far above the centre overcomes a 0.3 rad downward pitch.
-        with pytest.raises(NoHorizonIntersection):
-            back_project(default_k.cx, default_k.cy - 2000.0, default_k, rotation_x(0.3), 2.0)
+        point, missed = back_project(
+            default_k.cx, default_k.cy - 2000.0, default_k, rotation_x(0.3), 2.0
+        )
+        assert missed and np.isnan(point[[0, 2]]).all()
 
     @given(
         y=st.floats(min_value=-4 * HORIZON_EPS, max_value=4 * HORIZON_EPS),
@@ -106,14 +115,29 @@ class TestBackProjectToPlane:
     @example(y=2 * HORIZON_EPS, xn=0.0)
     @settings(deadline=None)
     def test_one_mask_at_the_horizon(self, y, xn):
-        # Unrotated, a ray's y component is its yn exactly.  One ray at the
-        # boundary fails the whole call, even beside a ray that meets the plane.
-        norm = np.array([[xn, y], [0.0, 0.5]])
+        # Unrotated, a ray's y component is its yn exactly.  A ray at the
+        # boundary is missed on its own, beside a ray that meets the plane.
+        points, missed = _plane_points(np.array([[xn, y], [0.0, 0.5]]), np.eye(3), 2.0)
+        assert missed.tolist() == [y < HORIZON_EPS, False]
+        assert points[1].tolist() == [0.0, 2.0, 4.0]
         if y < HORIZON_EPS:
-            with pytest.raises(NoHorizonIntersection, match="^1 point"):
-                _plane_points(norm, np.eye(3), 2.0)
+            assert np.isnan(points[0, [0, 2]]).all()
         else:
-            assert _plane_points(norm, np.eye(3), 2.0)[0, 1] == 2.0
+            assert points[0, 1] == 2.0
+
+    def test_a_missed_ray_fails_its_own_observation(self):
+        # Unrotated camera: observation 0 has one level ray (yn = 0), which
+        # misses the plane; observation 1 meets it at depths 5, 4 and 10/3.
+        norm = np.array([[[0.1, 0.0], [0.2, 0.5], [0.3, 0.5]],
+                         [[0.1, 0.4], [0.2, 0.5], [0.3, 0.6]]])
+        failures = [None, None]
+        spreads, means = _depth_stats(norm, np.ones((2, 3), bool), [0.0, 0.0], [0.0, 0.0], 2.0,
+                                      failures)
+        assert isinstance(failures[0], NoHorizonIntersection)
+        assert str(failures[0]).startswith("1 point(s) back-project")
+        assert failures[1] is None
+        assert spreads[1] == pytest.approx(5.0 - 10.0 / 3.0, abs=1e-12)
+        assert means[1] == pytest.approx((5.0 + 4.0 + 10.0 / 3.0) / 3.0, abs=1e-12)
 
     @given(
         theta=st.floats(min_value=0.15, max_value=1.2),
@@ -127,14 +151,14 @@ class TestBackProjectToPlane:
         ray = rotation_x(theta) @ [(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0]
         if ray[1] < 1e-6:
             return  # too close to the horizon to be a meaningful sample
-        assert back_project(u, v, k, rotation_x(theta), c0)[1] == c0
+        assert back_project(u, v, k, rotation_x(theta), c0)[0][1] == c0
 
 
 class TestUndistortThenBackProject:
     def test_zero_distortion_matches_plain_back_projection(self, default_k, zero_d):
         rot = rotation_xz(0.5, 0.05)
-        a = back_project(700.0, 500.0, default_k, rot, 2.0, zero_d)
-        b = back_project(700.0, 500.0, default_k, rot, 2.0)
+        a, _ = back_project(700.0, 500.0, default_k, rot, 2.0, zero_d)
+        b, _ = back_project(700.0, 500.0, default_k, rot, 2.0)
         assert np.array_equal(a, b)
 
     def test_round_trip_with_distortion(self, default_k, mild_d):
@@ -155,7 +179,8 @@ class TestUndistortThenBackProject:
                 continue
             if not (0 <= pix.u < 1280 and 0 <= pix.v < 720):
                 continue
-            x, _, z = back_project(pix.u, pix.v, default_k, rot, c0, mild_d)
+            (x, _, z), missed = back_project(pix.u, pix.v, default_k, rot, c0, mild_d)
+            assert not missed
             worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
         assert worst < 1e-6
@@ -175,7 +200,8 @@ class TestUndistortThenBackProject:
             except Exception:
                 continue
             rot = rotation_xz(orientation.pitch, orientation.roll)
-            x, _, z = back_project(pix.u, pix.v, default_k, rot, c0, zero_d)
+            (x, _, z), missed = back_project(pix.u, pix.v, default_k, rot, c0, zero_d)
+            assert not missed
             worst = max(worst, abs(x - w.x), abs(z - w.z))
             n_done += 1
         assert worst < 1e-9
@@ -185,5 +211,4 @@ class TestUndistortThenBackProject:
         orientation = Orientation(roll=0.0, pitch=0.3)
         pix = project(WorldPoint(0.0, -1.0, 5.0), default_k, zero_d, orientation)
         rot = rotation_xz(orientation.pitch, orientation.roll)
-        with pytest.raises(NoHorizonIntersection):
-            back_project(pix.u, pix.v, default_k, rot, 2.0, zero_d)
+        assert back_project(pix.u, pix.v, default_k, rot, 2.0, zero_d)[1]

@@ -11,11 +11,13 @@ import pytest
 
 from camline import (
     DistortionCoefficients,
+    GeometryError,
     Orientation,
     SceneConstraints,
     SweepConfig,
     SyntheticScene,
     TooFewVisible,
+    estimate_orientation,
     render_line,
     rotation_xz,
     run_trial,
@@ -47,6 +49,12 @@ class TestSceneValidation:
     def test_rejects_non_positive_extent(self, default_k, sc):
         with pytest.raises(ValueError, match="line_x_extent"):
             SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, line_x_extent=0.0)
+
+    @pytest.mark.parametrize("field", ["image_width", "image_height"])
+    @pytest.mark.parametrize("value", [0, -1, 640.0, True])
+    def test_image_size_must_be_a_positive_int(self, default_k, sc, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, **{field: value})
 
     def test_line_behind_camera_rejected_by_constraints(self):
         with pytest.raises(ValueError, match="z0"):
@@ -116,7 +124,9 @@ class TestRenderLine:
         rot = rotation_xz(scene.ground_truth.pitch, scene.ground_truth.roll)
         xs = np.linspace(-1.0, 1.0, 21)
         for x_true, uv in zip(xs, obs.uv_array()):
-            x, _, z = _plane_points(_normalize_uv(_undistort_uv(uv, k, d), k), rot, sc.c0)
+            und, (failure,) = _undistort_uv(uv, k, d)
+            (x, _, z), missed = _plane_points(_normalize_uv(und, k), rot, sc.c0)
+            assert failure is None and not missed
             assert x == pytest.approx(x_true, abs=1e-6)
             assert z == pytest.approx(sc.z0, abs=1e-6)
 
@@ -163,6 +173,22 @@ class TestSweep:
         )
         defaults.update(kwargs)
         return SweepConfig(**defaults)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_sigmas", (0.5, -0.1)),
+            ("noise_sigmas", (math.nan,)),
+            ("k1_scales", (1.0, math.inf)),
+            ("seeds_per_cell", -1),
+            ("roll_range", (-0.1, math.nan)),
+            ("pitch_range", (0.4, math.inf)),
+        ],
+    )
+    def test_bad_axis_raises(self, base_scene, field, value):
+        # The config rejects the value when it is built, before any trial runs.
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            sweep(self._config(base_scene, **{field: value}))
 
     def test_empty_grid(self, base_scene):
         assert sweep(self._config(base_scene, noise_sigmas=())) == []
@@ -213,6 +239,78 @@ class TestSweep:
             assert r.n_visible == len(render_line(replay))
             assert r.n_visible < len(render_line(replace(replay, image_width=1280)))
 
+    def test_matches_a_per_trial_replay(self, base_scene):
+        # Replays every trial through render_line + estimate_orientation,
+        # seeded as SweepConfig documents, including a config whose camera
+        # never sees the line.  With base seed 2 one noisy trial has a pixel
+        # past the reach of the k1 = -4e-7 lens, so the NonConvergent path is
+        # compared too.
+        scene = replace(base_scene, d=DistortionCoefficients(k1=-1e-7, p1=1e-6))
+        seen = self._config(
+            scene,
+            noise_sigmas=(0.0, 0.5, 1.0),
+            roll_range=(-0.1, 0.1),
+            pitch_range=(0.4, 0.8),
+            seeds_per_cell=40,
+            base_seed=2,
+            k1_scales=(0.0, 1.0, 3.0, 4.0),
+        )
+        unseen = self._config(scene, pitch_range=(0.0, 0.001), k1_scales=(1.0, 4.0))
+        for config in (seen, unseen):
+            reports = sweep(config)
+            replayed = []
+            for sigma in config.noise_sigmas:
+                for k1_scale in config.k1_scales:
+                    d = replace(scene.d, k1=scene.d.k1 * k1_scale)
+                    for j in range(config.seeds_per_cell):
+                        pose_rng = np.random.default_rng((config.base_seed, j))
+                        roll = float(pose_rng.uniform(*config.roll_range))
+                        pitch = float(pose_rng.uniform(*config.pitch_range))
+                        trial = replace(
+                            scene,
+                            ground_truth=Orientation(roll=roll, pitch=pitch),
+                            d=d,
+                            noise_sigma=sigma,
+                            rng_seed=config.base_seed + j,
+                        )
+                        try:
+                            obs = render_line(trial)
+                            est = estimate_orientation(obs, trial.k, d, trial.sc)
+                        except GeometryError as exc:
+                            replayed.append((trial, 0, f"{type(exc).__name__}: {exc}", None))
+                        else:
+                            replayed.append((trial, len(obs), None, est))
+            assert len(reports) == len(replayed)
+            for r, (trial, n_visible, failure, est) in zip(reports, replayed):
+                gt = trial.ground_truth
+                assert (r.seed, r.noise_sigma, r.roll_gt, r.pitch_gt) == (
+                    trial.rng_seed, trial.noise_sigma, gt.roll, gt.pitch
+                )
+                assert (r.n_visible, r.failure) == (n_visible, failure)
+                if est is None:
+                    assert math.isnan(r.roll_error) and math.isnan(r.residual_z_spread)
+                else:
+                    assert abs(r.roll_error - (est.orientation.roll - gt.roll)) <= 1e-12
+                    assert abs(r.pitch_error - (est.orientation.pitch - gt.pitch)) <= 1e-12
+                    assert abs(r.residual_z_spread - est.residual_z_spread) <= 1e-12
+        outcomes = {r.failure.split(":")[0] if r.failure else None for r in sweep(seen)}
+        assert outcomes == {None, "NonConvergent"}
+        assert {r.failure.split(":")[0] for r in sweep(unseen)} == {"TooFewVisible"}
+
+    def test_reports_share_the_config_objects(self, base_scene):
+        # The sweep keeps one object per axis value, seed and pose, as a
+        # per-trial loop over the config would, so cached reports stay small.
+        config = self._config(base_scene, k1_scales=(1.0, 2.0))
+        reports = sweep(config)
+        n = config.seeds_per_cell
+        for i, r in enumerate(reports):
+            assert r.noise_sigma is config.noise_sigmas[i // (2 * n)]
+            assert r.k1_scale is config.k1_scales[i // n % 2]
+            first = reports[i % n]
+            assert r.seed is first.seed and r.roll_gt is first.roll_gt
+            assert r.pitch_gt is first.pitch_gt
+            assert type(r.n_visible) is int and type(r.roll_error) is float
+
     def test_k1_scale_axis(self, base_scene):
         scene = replace(base_scene, d=DistortionCoefficients(k1=-1e-8))
         reports = sweep(
@@ -243,6 +341,18 @@ class TestSweep:
             assert r.failure is None
             assert abs(r.roll_error) < 1e-8
             assert abs(r.pitch_error) < 1e-8
+
+
+def test_scaled_standard_normal_is_the_normal_draw():
+    # render_line and sweep add sigma * standard_normal(...) where a trial
+    # used to add normal(0, sigma, ...); the sweep draws the standard normals
+    # once and scales them per noise level, so the two must agree bit for bit.
+    uv = np.random.default_rng(0).uniform(0.0, 1280.0, size=(101, 2))
+    for seed in range(50):
+        for sigma in (0.0, 0.25, 0.5, 1.0, 1.7):
+            a = uv + np.random.default_rng(seed).normal(0.0, sigma, size=uv.shape)
+            b = uv + sigma * np.random.default_rng(seed).standard_normal(uv.shape)
+            assert np.array_equal(a, b)
 
 
 class TestSweepCsv:
