@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,7 @@ from .config import load_camera_config
 from .core_geometry import Orientation, PixelPoint, WorldPoint, project, undistort
 from .errors import ConfigError, GeometryError
 from .orientation_estimator import ReferenceLineObservation, estimate_orientation
-from .synthetic_rig import (
-    DEFAULT_IMAGE_HEIGHT,
-    DEFAULT_IMAGE_WIDTH,
-    SyntheticScene,
-    render_line,
-)
+from .synthetic_rig import SyntheticScene, render_line
 
 __all__ = ["main"]
 
@@ -98,6 +94,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
+    given = {f.name: getattr(args, f.name) for f in fields(SyntheticScene) if f.name in args}
     scene = SyntheticScene(
         ground_truth=Orientation(
             roll=math.radians(args.roll), pitch=math.radians(args.pitch)
@@ -105,12 +102,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sc=cfg.scene,
         k=cfg.intrinsics,
         d=cfg.distortion,
-        line_x_extent=args.extent,
-        n_points=args.points,
-        noise_sigma=args.noise,
-        rng_seed=args.seed,
-        image_width=args.width,
-        image_height=args.height,
+        **given,
     )
     obs = render_line(scene)
 
@@ -125,12 +117,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "pitch_rad": scene.ground_truth.pitch,
         "c0": cfg.scene.c0,
         "z0": cfg.scene.z0,
-        "noise_sigma": args.noise,
-        "seed": args.seed,
-        "n_points": args.points,
-        "line_x_extent": args.extent,
-        "image_width": args.width,
-        "image_height": args.height,
+        "noise_sigma": scene.noise_sigma,
+        "seed": scene.rng_seed,
+        "n_points": scene.n_points,
+        "line_x_extent": scene.line_x_extent,
+        "image_width": scene.image_width,
+        "image_height": scene.image_height,
         "n_visible": len(obs),
     }
     sidecar = out.with_suffix(".truth.json")
@@ -165,17 +157,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("-o", "--output", help="write the result JSON here (default: stdout)")
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_sim = sub.add_parser("simulate", help="render a synthetic reference line")
+    # An option left out is not set, so the SyntheticScene field it names keeps its default.
+    p_sim = sub.add_parser("simulate", help="render a synthetic reference line",
+                           argument_default=argparse.SUPPRESS)
     p_sim.add_argument("config", help="camera config JSON")
     p_sim.add_argument("output", help="output CSV path; ground truth goes to *.truth.json")
     p_sim.add_argument("--roll", type=float, default=0.0, help="ground-truth roll, degrees")
     p_sim.add_argument("--pitch", type=float, default=0.0, help="ground-truth pitch, degrees")
-    p_sim.add_argument("--noise", type=float, default=0.0, help="pixel noise sigma")
-    p_sim.add_argument("--seed", type=int, default=0, help="noise RNG seed")
-    p_sim.add_argument("--points", type=int, default=101, help="points along the line")
-    p_sim.add_argument("--extent", type=float, default=3.0, help="line half-width, metres")
-    p_sim.add_argument("--width", type=int, default=DEFAULT_IMAGE_WIDTH, help="image width, px")
-    p_sim.add_argument("--height", type=int, default=DEFAULT_IMAGE_HEIGHT, help="image height, px")
+    p_sim.add_argument("--noise", dest="noise_sigma", type=float, help="pixel noise sigma")
+    p_sim.add_argument("--seed", dest="rng_seed", type=int, help="noise RNG seed")
+    p_sim.add_argument("--points", dest="n_points", type=int, help="points along the line")
+    p_sim.add_argument(
+        "--extent", dest="line_x_extent", type=float, help="line half-width, metres"
+    )
+    p_sim.add_argument("--width", dest="image_width", type=int, help="image width, px")
+    p_sim.add_argument("--height", dest="image_height", type=int, help="image height, px")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_proj = sub.add_parser("project", help="project a world point to a pixel")

@@ -8,26 +8,24 @@ A config is a single JSON document with three sections::
       "scene":      {"c0": 2.0, "z0": 3.0}
     }
 
-``skew`` and the whole ``distortion`` section are optional (default 0);
-everything else is required.  Unknown fields anywhere are rejected by name so
-typos in coefficient names cannot silently become zeros.
+Each section holds the fields of the dataclass :class:`CameraConfig` names
+for it.  A field with a default may be left out, and so may a section whose
+fields all have one (``skew`` and the whole ``distortion`` section, default
+0); everything else is required.  Unknown fields anywhere are rejected by name
+so typos in coefficient names cannot silently become zeros.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .core_geometry import DistortionCoefficients, Intrinsics, SceneConstraints
 from .errors import ConfigError
 
 __all__ = ["CameraConfig", "load_camera_config"]
-
-_INTRINSICS_REQUIRED = ("fx", "fy", "cx", "cy")
-_INTRINSICS_OPTIONAL = ("skew",)
-_DISTORTION_KEYS = ("k1", "k2", "p1", "p2", "k3")
-_SCENE_REQUIRED = ("c0", "z0")
 
 
 @dataclass(frozen=True)
@@ -40,23 +38,30 @@ class CameraConfig:
 def _number(section: str, name: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{section}.{name} is too large for a float") from None
 
 
-def _section(doc: dict, name: str, required: tuple[str, ...], optional: tuple[str, ...]) -> dict:
-    if name not in doc:
+def _section(doc: dict, name: str, cls: type):
+    """Section ``name`` of ``doc`` as a ``cls``, whose fields are its only keys."""
+    required = {f.name: f.default is MISSING for f in fields(cls)}
+    if name not in doc and any(required.values()):
         raise ConfigError(f"missing required config section '{name}'")
-    section = doc[name]
+    section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section '{name}' must be an object")
-    allowed = set(required) | set(optional)
     for key in section:
-        if key not in allowed:
+        if key not in required:
             raise ConfigError(f"unknown config field '{name}.{key}'")
-    for key in required:
-        if key not in section:
+    for key, needed in required.items():
+        if needed and key not in section:
             raise ConfigError(f"missing required config field '{name}.{key}'")
-    return {key: _number(name, key, value) for key, value in section.items()}
+    try:
+        return cls(**{key: _number(name, key, value) for key, value in section.items()})
+    except ValueError as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
 
 
 def load_camera_config(path: str | Path) -> CameraConfig:
@@ -72,28 +77,13 @@ def load_camera_config(path: str | Path) -> CameraConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
 
+    sections = get_type_hints(CameraConfig)
     for key in doc:
-        if key not in ("intrinsics", "distortion", "scene"):
+        if key not in sections:
             raise ConfigError(f"unknown config field '{key}'")
-
-    intr = _section(doc, "intrinsics", _INTRINSICS_REQUIRED, _INTRINSICS_OPTIONAL)
-    scene = _section(doc, "scene", _SCENE_REQUIRED, ())
-    dist = (
-        _section(doc, "distortion", (), _DISTORTION_KEYS)
-        if "distortion" in doc
-        else {}
-    )
-
-    try:
-        return CameraConfig(
-            intrinsics=Intrinsics(**intr),
-            distortion=DistortionCoefficients(**dist),
-            scene=SceneConstraints(**scene),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    return CameraConfig(**{name: _section(doc, name, cls) for name, cls in sections.items()})

@@ -27,8 +27,7 @@ The camera sits at the world origin.  ``project`` therefore uses the
 transpose of ``rotation_xz(pitch, roll)`` as the world-to-camera map,
 while the back-projection code applies the matrix directly to the homogeneous
 ray ``(xn, yn, 1)``.  Angles are radians everywhere; roll rotates about the
-optical (z) axis, pitch about the lateral (x) axis, and the yaw slot is
-reserved and fixed at zero.
+optical (z) axis and pitch about the lateral (x) axis.
 
 Distortion convention
 ---------------------
@@ -140,22 +139,14 @@ class PixelPoint:
 
 @dataclass(frozen=True)
 class Orientation:
-    """Camera orientation angles in radians.
-
-    ``roll`` rotates about the optical (z) axis, ``pitch`` about the lateral
-    (x) axis.  ``yaw`` is a reserved slot and must stay 0; nothing in this
-    package estimates or applies a yaw.
-    """
+    """Camera roll about the optical (z) axis and pitch about the lateral (x) axis, radians."""
 
     roll: float = 0.0
     pitch: float = 0.0
-    yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("roll", "pitch", "yaw"):
+        for name in ("roll", "pitch"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.yaw != 0.0:
-            raise ValueError(f"yaw is a reserved slot and must be 0.0, got {self.yaw}")
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,11 @@ def _fit_observation(
         first = uv[np.arange(len(uv)), visible.argmax(axis=-1)]
         uv = np.where(visible[..., None], uv, first[:, None, :])
     und, failures = _undistort_uv(uv, k, d)
+    # A failed observation's pixels come back as given, which may be as far
+    # out as 1e300: put them on the principal point so no later stage overflows.
+    failed = [i for i, failure in enumerate(failures) if failure is not None]
+    if failed:
+        und[failed] = (k.cx, k.cy)
     u, v = und[..., 0], und[..., 1]
     spans = np.hypot(u.max(axis=-1) - u.min(axis=-1), v.max(axis=-1) - v.min(axis=-1))
     for i, span in enumerate(spans.tolist()):

@@ -29,22 +29,16 @@ from .core_geometry import (
     rotation_xz,
 )
 from .errors import TooFewVisible
-from .orientation_estimator import ReferenceLineObservation, _estimate, estimate_orientation
+from .orientation_estimator import ReferenceLineObservation, _estimate
 
 __all__ = [
     "SyntheticScene",
     "TrialReport",
     "SweepConfig",
     "render_line",
-    "run_trial",
     "sweep",
     "write_sweep_csv",
-    "DEFAULT_IMAGE_WIDTH",
-    "DEFAULT_IMAGE_HEIGHT",
 ]
-
-DEFAULT_IMAGE_WIDTH = 1280
-DEFAULT_IMAGE_HEIGHT = 720
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,8 @@ class SyntheticScene:
     n_points: int = 101
     noise_sigma: float = 0.0
     rng_seed: int = 0
-    image_width: int = DEFAULT_IMAGE_WIDTH
-    image_height: int = DEFAULT_IMAGE_HEIGHT
+    image_width: int = 1280
+    image_height: int = 720
 
     def __post_init__(self) -> None:
         if self.n_points < 2:
@@ -165,24 +159,6 @@ def render_line(scene: SyntheticScene) -> ReferenceLineObservation:
     if n_visible < 2:
         raise _too_few_visible(n_visible, scene)
     return ReferenceLineObservation.from_array(uv[0, 0][keep])
-
-
-def run_trial(scene: SyntheticScene) -> TrialReport:
-    """Render one scene, run the estimator, report signed errors and residuals."""
-    obs = render_line(scene)
-    est = estimate_orientation(obs, scene.k, scene.d, scene.sc)
-    gt = scene.ground_truth
-    return TrialReport(
-        seed=scene.rng_seed,
-        noise_sigma=scene.noise_sigma,
-        k1_scale=1.0,
-        roll_gt=gt.roll,
-        pitch_gt=gt.pitch,
-        roll_error=est.orientation.roll - gt.roll,
-        pitch_error=est.orientation.pitch - gt.pitch,
-        residual_z_spread=est.residual_z_spread,
-        n_visible=len(obs),
-    )
 
 
 @dataclass(frozen=True)

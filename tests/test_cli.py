@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from camline import SyntheticScene
 from camline.cli import main
 
 DEFAULT_CONFIG = {
@@ -105,6 +107,22 @@ class TestEstimate:
         assert rc == 1
         assert "fy" in capsys.readouterr().err
 
+    def test_oversized_config_integer_exits_1(self, tmp_path, capsys):
+        config = make_config(tmp_path, intrinsics={"fx": 10**400})
+        line_csv = tmp_path / "line.csv"
+        line_csv.write_text("u,v\n100.0,200.0\n300.0,200.0\n")
+        rc = main(["estimate", config, str(line_csv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "intrinsics.fx" in err
+
+    def test_far_pixel_exits_2_without_a_warning(self, tmp_path, config_path, capsys):
+        line_csv = tmp_path / "line.csv"
+        line_csv.write_text("u,v\n0,400\n1e200,400.2\n1,401\n")
+        rc = main(["estimate", config_path, str(line_csv)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: NonConvergent: ")
+
     def test_degenerate_line_exits_2(self, tmp_path, config_path, capsys):
         line_csv = tmp_path / "line.csv"
         line_csv.write_text("u,v\n640.0,400.0\n640.2,400.1\n")
@@ -143,6 +161,16 @@ class TestSimulate:
         assert truth["seed"] == 3
         assert truth["n_points"] == 51
         assert truth["c0"] == 2.0 and truth["z0"] == 3.0
+
+    def test_scene_options_default_to_the_scene_fields(self, tmp_path, config_path, capsys):
+        out = tmp_path / "line.csv"
+        assert main(["simulate", config_path, str(out), "--pitch", "35"]) == 0
+        truth = json.loads((tmp_path / "line.truth.json").read_text())
+        defaults = {f.name: f.default for f in dataclasses.fields(SyntheticScene)}
+        for key in ("n_points", "line_x_extent", "image_width", "image_height", "noise_sigma"):
+            assert truth[key] == defaults[key], key
+        assert truth["seed"] == defaults["rng_seed"]
+        assert (truth["image_width"], truth["image_height"]) == (1280, 720)
 
     def test_level_pitch_exits_2(self, tmp_path, config_path, capsys):
         rc = main(["simulate", config_path, str(tmp_path / "line.csv"), "--pitch", "0"])

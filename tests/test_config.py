@@ -100,6 +100,21 @@ def test_malformed_json(tmp_path):
         load_camera_config(path)
 
 
+def test_integer_too_large_for_a_float_is_named(tmp_path):
+    doc = json.loads(json.dumps(VALID))
+    doc["intrinsics"]["fx"] = 10**400
+    with pytest.raises(ConfigError, match="intrinsics.fx"):
+        load_camera_config(write_config(tmp_path, doc))
+
+
+def test_integer_past_the_digit_limit_is_malformed_json(tmp_path):
+    # json refuses integer literals longer than the interpreter's digit limit.
+    path = tmp_path / "camera.json"
+    path.write_text(json.dumps(VALID).replace('"fx": 1000.0', '"fx": 1' + "0" * 5000))
+    with pytest.raises(ConfigError, match="JSON"):
+        load_camera_config(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="read"):
         load_camera_config(tmp_path / "nope.json")

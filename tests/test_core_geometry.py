@@ -56,10 +56,6 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             PixelPoint(math.nan, 0.0)
 
-    def test_yaw_slot_is_reserved(self):
-        with pytest.raises(ValueError, match="yaw"):
-            Orientation(roll=0.0, pitch=0.0, yaw=0.1)
-
     def test_default_distortion_is_zero(self):
         d = DistortionCoefficients()
         assert (d.k1, d.k2, d.k3, d.p1, d.p2) == (0.0, 0.0, 0.0, 0.0, 0.0)

@@ -15,6 +15,7 @@ from camline import (
     DegenerateLine,
     DistortionCoefficients,
     NoHorizonIntersection,
+    NonConvergent,
     Orientation,
     PixelPoint,
     ReferenceLineObservation,
@@ -28,7 +29,7 @@ from camline import (
     rotation_x,
 )
 from camline.core_geometry import _normalize_uv
-from camline.orientation_estimator import _fit_line, _plane_points
+from camline.orientation_estimator import _estimate, _fit_line, _plane_points
 
 from conftest import line_angle_distance
 
@@ -275,6 +276,29 @@ class TestEstimateOrientation:
         est = estimate_orientation(obs, default_k, zero_d, sc)
         assert est.orientation.roll == pytest.approx(math.pi / 2, abs=1e-12)
         assert est.residual_z_spread > 0.0
+
+    @pytest.mark.parametrize("far", [1e200, 1e300])
+    @pytest.mark.parametrize("k1", [0.0, -1e-8], ids=["no_lens", "mild_lens"])
+    def test_a_far_pixel_fails_without_a_numpy_warning(self, default_k, sc, far, k1):
+        # Undistortion fails on the far pixel; the fit and depth stages must
+        # not then overflow on it (pytest turns any warning into an error).
+        d = DistortionCoefficients(k1=k1)
+        far_uv = np.array([[0.0, 400.0], [far, 400.2], [1.0, 401.0]])
+        obs = ReferenceLineObservation.from_array(far_uv)
+        with pytest.raises(NonConvergent):
+            estimate_orientation(obs, default_k, d, sc)
+        with pytest.raises(NonConvergent):
+            central_pixel(obs, default_k, d)
+        # In a batch it fails alone, and its neighbour's estimate stands.
+        good_uv = np.array([[500.0, 450.0], [640.0, 460.0], [780.0, 470.0]])
+        rolls, pitches, spreads, _, failures = _estimate(
+            np.stack([far_uv, good_uv]), np.ones((2, 3), dtype=bool), default_k, d, sc
+        )
+        assert isinstance(failures[0], NonConvergent) and failures[1] is None
+        est = estimate_orientation(ReferenceLineObservation.from_array(good_uv), default_k, d, sc)
+        assert rolls[1] == pytest.approx(est.orientation.roll, abs=1e-12)
+        assert pitches[1] == pytest.approx(est.orientation.pitch, abs=1e-12)
+        assert spreads[1] == pytest.approx(est.residual_z_spread, abs=1e-12)
 
 
 class TestResidualZSpread:

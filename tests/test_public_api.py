@@ -16,8 +16,6 @@ PUBLIC = [
     "CameraConfig",
     "CamlineError",
     "ConfigError",
-    "DEFAULT_IMAGE_HEIGHT",
-    "DEFAULT_IMAGE_WIDTH",
     "DegenerateGeometry",
     "DegenerateLine",
     "DistortionCoefficients",
@@ -46,7 +44,6 @@ PUBLIC = [
     "rotation_x",
     "rotation_xz",
     "rotation_z",
-    "run_trial",
     "sweep",
     "undistort",
     "write_sweep_csv",
@@ -56,7 +53,7 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 35
     assert len(set(camline.__all__)) == len(camline.__all__)
     assert sorted(camline.__all__) == PUBLIC
 
