@@ -8,10 +8,10 @@ Subcommands::
     camline undistort CONFIG U V
 
 Angles are degrees at this boundary (radians inside the library).  Exit
-codes: 0 success, 1 input/config error, 2 domain or numerical error; domain
-errors print their error name in the diagnostic.  All numeric output is
-written with full round-trip precision and every subcommand is deterministic
-given its arguments and input files.
+codes: 0 success, 1 input/config error or an unwritable output file, 2
+domain or numerical error; domain errors print their error name in the
+diagnostic.  All numeric output is written with full round-trip precision
+and every subcommand is deterministic given its arguments and input files.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_camera_config
-from .core_geometry import Orientation, PixelPoint, WorldPoint, project, undistort
-from .errors import ConfigError, GeometryError
+from .core_geometry import (
+    Orientation, PixelPoint, _project_uv, _require_finite, rotation_xz, undistort,
+)
+from .errors import BehindCamera, ConfigError, GeometryError
 from .orientation_estimator import ReferenceLineObservation, estimate_orientation
 from .synthetic_rig import SyntheticScene, render_line
 
@@ -70,6 +72,13 @@ def _read_line_points(path: str) -> np.ndarray:
         raise ConfigError(f"line file contains a non-numeric row: {exc}") from exc
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
     obs = ReferenceLineObservation.from_array(_read_line_points(args.line_points))
@@ -86,7 +95,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     }
     payload = json.dumps(result, indent=2) + "\n"
     if args.output:
-        Path(args.output).write_text(payload)
+        _write_text(Path(args.output), payload)
     else:
         sys.stdout.write(payload)
     return 0
@@ -108,7 +117,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     out = Path(args.output)
     lines = ["u,v"] + [f"{p.u!r},{p.v!r}" for p in obs.pixels]
-    out.write_text("\n".join(lines) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
 
     truth = {
         "roll_deg": args.roll,
@@ -126,16 +135,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "n_visible": len(obs),
     }
     sidecar = out.with_suffix(".truth.json")
-    sidecar.write_text(json.dumps(truth, indent=2) + "\n")
+    _write_text(sidecar, json.dumps(truth, indent=2) + "\n")
     print(f"wrote {len(obs)} points to {out} (ground truth: {sidecar})")
     return 0
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
-    orientation = Orientation(roll=math.radians(args.roll), pitch=math.radians(args.pitch))
-    w = WorldPoint(args.x, args.y, args.z)
-    p = project(w, cfg.intrinsics, cfg.distortion, orientation)
+    o = Orientation(roll=math.radians(args.roll), pitch=math.radians(args.pitch))
+    w = np.array([_require_finite(name, getattr(args, name)) for name in "xyz"])
+    rot = rotation_xz(o.pitch, o.roll)
+    depth = float((w @ rot)[2])
+    if depth <= 0.0:
+        raise BehindCamera(f"point has non-positive camera depth {depth:.6g} m")
+    # PixelPoint rejects a projection that overflowed to a non-finite pixel.
+    p = PixelPoint(*_project_uv(w, cfg.intrinsics, cfg.distortion, rot).tolist())
     print(f"{p.u!r},{p.v!r}")
     return 0
 

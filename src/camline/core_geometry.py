@@ -2,8 +2,7 @@
 
 Each operation is one array kernel over ``(..., k)`` arrays (``_normalize_uv``,
 ``_denormalize_xy``, ``_distort_uv``, ``_undistort_uv``, ``_project_uv``).  Only
-``undistort`` and ``project`` remain as single-point wrappers, and both are
-there for the CLI.
+``undistort`` remains as a single-point wrapper, for the CLI.
 
 Coordinate conventions
 ----------------------
@@ -23,7 +22,7 @@ Rotation convention
 
     world_dir = R @ camera_dir
 
-The camera sits at the world origin.  ``project`` therefore uses the
+The camera sits at the world origin.  ``_project_uv`` therefore uses the
 transpose of ``rotation_xz(pitch, roll)`` as the world-to-camera map,
 while the back-projection code applies the matrix directly to the homogeneous
 ray ``(xn, yn, 1)``.  Angles are radians everywhere; roll rotates about the
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, NonConvergent
+from .errors import NonConvergent
 
 __all__ = [
     "Intrinsics",
@@ -53,13 +52,14 @@ __all__ = [
     "SceneConstraints",
     "PixelPoint",
     "Orientation",
-    "WorldPoint",
     "undistort",
     "rotation_x",
     "rotation_z",
     "rotation_xz",
-    "project",
 ]
+
+# Undistortion stops once a pixel's distortion is this close to its target.
+UNDISTORT_TOL_PX = 1e-9
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -149,19 +149,6 @@ class Orientation:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class WorldPoint:
-    """3D point in the camera-centred world frame (metres)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-
 # ---------------------------------------------------------------------------
 # Intrinsic normalization
 # ---------------------------------------------------------------------------
@@ -245,7 +232,6 @@ def _undistort_uv(
     uv: np.ndarray,
     k: Intrinsics,
     d: DistortionCoefficients,
-    tol: float = 1e-9,
     max_iter: int = 50,
 ) -> tuple[np.ndarray, list[NonConvergent | None]]:
     """Vectorized Newton inverse of :func:`_distort_uv`, converging per observation.
@@ -258,7 +244,7 @@ def _undistort_uv(
 
     Starting from the target itself, each of at most ``max_iter`` rounds
     evaluates the residual ``_distort_uv(q) - target``.  An observation is
-    done once its own worst residual is within ``tol`` pixels (Euclidean)
+    done once its own worst residual is within ``UNDISTORT_TOL_PX`` pixels (Euclidean)
     and takes no further step, so its pixels are bit-identical to those of a
     call on that observation alone.  The others take the Newton step
     ``q <- q - J(q)^-1 residual``, where ``J`` is the analytic Jacobian of
@@ -272,7 +258,7 @@ def _undistort_uv(
     both are 1 everywhere, so that check is skipped.)
 
     An observation fails with :class:`NonConvergent` when its iteration
-    diverged, did not reach ``tol`` within ``max_iter`` rounds, or found a
+    diverged, did not reach that tolerance within ``max_iter`` rounds, or found a
     root on a folded branch.  This happens for pixels outside the lens's
     invertible region.
     """
@@ -294,7 +280,7 @@ def _undistort_uv(
             e_u, e_v = u_d - t_u, v_d - t_v
             worst = np.hypot(e_u, e_v).max(axis=-1).tolist()
             # A NaN or infinite residual stops its observation too: it diverged.
-            going = [tol < w < math.inf for w in worst]
+            going = [UNDISTORT_TOL_PX < w < math.inf for w in worst]
             if lens or any(going):
                 j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)
             if not all(going):
@@ -304,7 +290,7 @@ def _undistort_uv(
                 for pos, (i, w, go) in enumerate(zip(index.tolist(), worst, going)):
                     if go:
                         continue
-                    if not w <= tol:
+                    if not w <= UNDISTORT_TOL_PX:
                         failures[i] = NonConvergent(
                             "undistortion diverged; pixel outside the invertible lens region"
                         )
@@ -328,7 +314,7 @@ def _undistort_uv(
             v = v - (j_uu * e_v - j_uv * e_u) / det
     for i in index.tolist():
         failures[i] = NonConvergent(
-            f"undistortion did not reach tol={tol} px within {max_iter} iterations"
+            f"undistortion did not reach tol={UNDISTORT_TOL_PX} px within {max_iter} iterations"
         )
     return out.reshape(target.shape), failures
 
@@ -337,20 +323,19 @@ def undistort(
     p: PixelPoint,
     k: Intrinsics,
     d: DistortionCoefficients,
-    tol: float = 1e-9,
     max_iter: int = 50,
 ) -> PixelPoint:
     """Single-pixel :func:`_undistort_uv`, whose docstring gives the method.
 
-    Returns the pixel ``q`` with ``_distort_uv(q)`` within ``tol`` pixels of
-    ``p``.  ``max_iter`` caps the residual evaluations; the last one only
+    Returns the pixel ``q`` with ``_distort_uv(q)`` within ``UNDISTORT_TOL_PX``
+    pixels of ``p``.  ``max_iter`` caps the residual evaluations; the last one only
     tests, so at most ``max_iter - 1`` Newton steps are taken.
 
     Raises:
         NonConvergent: iteration failed to converge or reached a folded
             branch of the map (``p`` outside the invertible lens region).
     """
-    out, (failure,) = _undistort_uv(np.array([p.u, p.v]), k, d, tol=tol, max_iter=max_iter)
+    out, (failure,) = _undistort_uv(np.array([p.u, p.v]), k, d, max_iter=max_iter)
     if failure is not None:
         raise failure
     return PixelPoint(float(out[0]), float(out[1]))
@@ -403,40 +388,12 @@ def _project_uv(
     ``rot`` is the camera-to-world rotation, (3, 3) or a stack (S, 3, 3);
     a stack gives (S, ..., 2).  Rotates the points into the camera frame,
     divides by depth, applies the intrinsic map and then the distortion map.
-    Rows with depth <= 0 come out as NaN instead of raising.
+    Rows with depth <= 0 come out as NaN instead of raising.  With no
+    rotation and no lens this is the pinhole map ``u = fx*x/z + skew*y/z + cx``,
+    ``v = fy*y/z + cy``.
     """
     cam = world @ rot  # rows are R.T @ w
     z = cam[..., 2:]
     xy = cam[..., :2] / np.where(z > 0.0, z, np.nan)
     return _distort_uv(_denormalize_xy(xy, k), k, d)
 
-
-def project(
-    w: WorldPoint, k: Intrinsics, d: DistortionCoefficients, orientation: Orientation
-) -> PixelPoint:
-    """Project a world point to a (distorted) pixel.
-
-    The camera sits at the world origin.  The pipeline is: rotation into the
-    camera frame, perspective divide and intrinsic map, then the distortion
-    map.  With zero orientation and zero distortion this reduces to the plain
-    pinhole equations ``u = fx*x/z + skew*y/z + cx`` and ``v = fy*y/z + cy``.
-
-    Args:
-        w: World point in the camera-centred frame.
-        k: Intrinsics.
-        d: Distortion coefficients.
-        orientation: Camera orientation.
-
-    Returns:
-        The projected pixel, including lens distortion.
-
-    Raises:
-        BehindCamera: the rotated point has depth <= 0.
-    """
-    q = np.array([w.x, w.y, w.z])
-    rot = rotation_xz(orientation.pitch, orientation.roll)
-    depth = float((q @ rot)[2])
-    if depth <= 0.0:
-        raise BehindCamera(f"point has non-positive camera depth {depth:.6g} m")
-    u, v = _project_uv(q, k, d, rot)
-    return PixelPoint(float(u), float(v))

@@ -3,7 +3,8 @@
 Two families matter to callers (and to the CLI's exit codes):
 
 * :class:`ConfigError` -- malformed input documents (config files, line-point
-  CSV files, bad field values).  CLI exit code 1.
+  CSV files, bad field values) and files the CLI cannot read or write.  CLI
+  exit code 1.
 * :class:`GeometryError` -- domain or numerical failures raised by otherwise
   valid inputs (rays missing the plane, non-invertible lens regions, ...).
   CLI exit code 2.
@@ -20,7 +21,7 @@ class CamlineError(Exception):
 
 
 class ConfigError(CamlineError):
-    """An input document (config file, line CSV) is malformed or invalid."""
+    """An input document is malformed or invalid, or a file cannot be read or written."""
 
 
 class GeometryError(CamlineError):

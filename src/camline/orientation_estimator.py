@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from .errors import DegenerateGeometry, DegenerateLine, NoHorizonIntersection
 __all__ = [
     "ReferenceLineObservation",
     "OrientationEstimate",
-    "ZSpread",
-    "estimate_pitch",
     "central_pixel",
     "estimate_orientation",
     "residual_z_spread",
@@ -104,11 +101,6 @@ class OrientationEstimate:
     warnings: tuple[str, ...] = ()
 
 
-class ZSpread(NamedTuple):
-    spread: float
-    mean_depth: float
-
-
 def _raise_first(failures: list) -> None:
     """Raise the first recorded failure, if any."""
     for failure in failures:
@@ -117,10 +109,17 @@ def _raise_first(failures: list) -> None:
 
 
 def _pitch(heights: list[float], sc: SceneConstraints, failures: list) -> list[float]:
-    """Pitch of each observation from its line's de-rolled height.
+    """Pitch of each observation from its line's de-rolled normalized height.
+
+    Evaluates ``atan((c0 - z0*y') / (z0 + c0*y'))`` with ``y'`` the de-rolled
+    height ``cos(roll)*yn - sin(roll)*xn``, the same at every point of the
+    line.  It equals the line's crossing of xn = 0 only at roll 0.
+    Back-projecting the de-rolled point ``(0, y')`` through
+    ``rotation_x(pitch)`` lands at depth ``z0`` exactly.
 
     Records :class:`DegenerateGeometry` where the denominator ``z0 + c0*y'``
-    vanishes; the pitch there is NaN.
+    vanishes, i.e. the line sits where pitch is unobservable; the pitch
+    there is NaN.
     """
     pitches = []
     for i, height in enumerate(heights):
@@ -134,25 +133,6 @@ def _pitch(heights: list[float], sc: SceneConstraints, failures: list) -> list[f
         else:
             pitches.append(math.atan((sc.c0 - sc.z0 * height) / den))
     return pitches
-
-
-def estimate_pitch(y0_normalized: float, sc: SceneConstraints) -> float:
-    """Pitch angle from the de-rolled normalized height of the line.
-
-    Evaluates ``atan((c0 - z0*y') / (z0 + c0*y'))`` with ``y'`` the de-rolled
-    height ``cos(roll)*yn - sin(roll)*xn``, the same at every point of the
-    line.  It equals the line's crossing of xn = 0 only at roll 0.
-    Back-projecting the de-rolled point ``(0, y')`` through
-    ``rotation_x(result)`` lands at depth ``z0`` exactly.
-
-    Raises:
-        DegenerateGeometry: the denominator ``z0 + c0*y'`` vanishes, i.e. the
-            line sits where pitch is unobservable.
-    """
-    failures = [None]
-    (pitch,) = _pitch([y0_normalized], sc, failures)
-    _raise_first(failures)
-    return pitch
 
 
 def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[float]]:
@@ -352,8 +332,8 @@ def residual_z_spread(
     d: DistortionCoefficients,
     orientation: Orientation,
     c0: float,
-) -> ZSpread:
-    """Depth spread (max - min) and mean depth of the back-projected line.
+) -> tuple[float, float]:
+    """``(spread, mean_depth)``: depth max - min and mean of the back-projected line.
 
     Quantifies how close the given orientation comes to making every observed
     line pixel land at one common depth on the plane; zero spread means the
@@ -370,4 +350,4 @@ def residual_z_spread(
         _normalize_uv(und, k), visible, [orientation.roll], [orientation.pitch], c0, failures
     )
     _raise_first(failures)
-    return ZSpread(spread, mean_depth)
+    return spread, mean_depth

@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 
+def _require_int(name: str, value: object, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int, not a bool, and >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class SyntheticScene:
     """Ground truth and rendering knobs for one synthetic trial.
@@ -61,8 +69,8 @@ class SyntheticScene:
     image_height: int = 720
 
     def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        _require_int("n_points", self.n_points, 2)
+        _require_int("rng_seed", self.rng_seed, 0)
         if not math.isfinite(self.line_x_extent) or self.line_x_extent <= 0.0:
             raise ValueError(f"line_x_extent must be > 0, got {self.line_x_extent}")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
@@ -188,11 +196,12 @@ class SweepConfig:
         for scale in self.k1_scales:
             if not math.isfinite(scale):
                 raise ValueError(f"k1_scales must be finite, got {scale!r}")
-        if self.seeds_per_cell < 0:
-            raise ValueError(f"seeds_per_cell must be >= 0, got {self.seeds_per_cell}")
+        _require_int("seeds_per_cell", self.seeds_per_cell, 0)
+        _require_int("base_seed", self.base_seed, 0)
         for name in ("roll_range", "pitch_range"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            span = tuple(getattr(self, name))
+            if not (len(span) == 2 and all(map(math.isfinite, span)) and span[0] <= span[1]):
+                raise ValueError(f"{name} must be finite (lo, hi) with lo <= hi, got {span!r}")
 
 
 def sweep(config: SweepConfig) -> list[TrialReport]:

@@ -21,10 +21,7 @@ from camline import (
     SweepConfig,
     SyntheticScene,
     TooFewVisible,
-    WorldPoint,
     estimate_orientation,
-    estimate_pitch,
-    project,
     render_line,
     residual_z_spread,
     rotation_x,
@@ -34,8 +31,8 @@ from camline import (
     undistort,
 )
 from camline.cli import main
-from camline.core_geometry import _distort_uv, _normalize_uv, _undistort_uv
-from camline.orientation_estimator import _fit_line, _plane_points
+from camline.core_geometry import _distort_uv, _normalize_uv, _project_uv, _undistort_uv
+from camline.orientation_estimator import _fit_line, _pitch, _plane_points
 
 IMAGE_W, IMAGE_H = 1280, 720
 
@@ -137,20 +134,16 @@ def test_criterion_3_projection_back_projection_round_trip(default_k):
                 pitch=float(rng.uniform(math.radians(5.0), math.radians(60.0))),
             )
             c0 = float(rng.uniform(0.5, 5.0))
-            w = WorldPoint(float(rng.uniform(-3.0, 3.0)), c0, float(rng.uniform(0.5, 10.0)))
-            try:
-                pix = project(w, default_k, d, orientation)
-            except Exception:
+            w = np.array([float(rng.uniform(-3.0, 3.0)), c0, float(rng.uniform(0.5, 10.0))])
+            rot = rotation_xz(orientation.pitch, orientation.roll)
+            # A point behind the camera projects to NaN and fails the image test.
+            u, v = _project_uv(w, default_k, d, rot).tolist()
+            if not (0.0 <= u < IMAGE_W and 0.0 <= v < IMAGE_H):
                 continue
-            if not (0.0 <= pix.u < IMAGE_W and 0.0 <= pix.v < IMAGE_H):
-                continue
-            und, (failure,) = _undistort_uv(np.array([pix.u, pix.v]), default_k, d)
-            norm = _normalize_uv(und, default_k)
-            (x, _, z), missed = _plane_points(
-                norm, rotation_xz(orientation.pitch, orientation.roll), c0
-            )
+            und, (failure,) = _undistort_uv(np.array([u, v]), default_k, d)
+            (x, _, z), missed = _plane_points(_normalize_uv(und, default_k), rot, c0)
             assert failure is None and not missed
-            worst = max(worst, abs(x - w.x), abs(z - w.z))
+            worst = max(worst, abs(x - w[0]), abs(z - w[2]))
             n_done += 1
         results[label] = (worst, tol)
     ok = all(worst < tol for worst, tol in results.values())
@@ -167,7 +160,8 @@ def test_criterion_4_analytic_special_cases():
     worst_pitch = 0.0
     for _ in range(100):
         sc = SceneConstraints(c0=float(rng.uniform(0.5, 5.0)), z0=float(rng.uniform(1.0, 10.0)))
-        worst_pitch = max(worst_pitch, abs(estimate_pitch(0.0, sc) - math.atan(sc.c0 / sc.z0)))
+        (pitch,) = _pitch([0.0], sc, [None])
+        worst_pitch = max(worst_pitch, abs(pitch - math.atan(sc.c0 / sc.z0)))
 
     worst_roll = 0.0
     for _ in range(100):
@@ -221,9 +215,9 @@ def test_criterion_5_depth_consistency(default_k, zero_d):
             perturbed = Orientation(
                 roll=est.orientation.roll + delta, pitch=est.orientation.pitch
             )
-            perturbed_spread = residual_z_spread(
+            perturbed_spread, _ = residual_z_spread(
                 obs, default_k, zero_d, perturbed, scene.sc.c0
-            ).spread
+            )
             if perturbed_spread <= spread:
                 perturbation_always_worse = False
     ok = worst_spread < 1e-9 and perturbation_always_worse

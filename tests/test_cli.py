@@ -130,6 +130,14 @@ class TestEstimate:
         assert rc == 2
         assert "DegenerateLine" in capsys.readouterr().err
 
+    def test_unwritable_output_exits_1(self, tmp_path, config_path, capsys):
+        line_csv = tmp_path / "line.csv"
+        line_csv.write_text("u,v\n540.0,500.0\n640.0,500.0\n740.0,500.0\n")
+        result = tmp_path / "missing_dir" / "r.json"
+        rc = main(["estimate", config_path, str(line_csv), "-o", str(result)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {result}: ")
+
 
 class TestSimulate:
     def test_zero_roll_gives_constant_v(self, tmp_path, config_path, capsys):
@@ -182,6 +190,20 @@ class TestSimulate:
                    "--pitch", "35", "--points", "1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("output", ["some_dir", "missing_dir/o.csv"])
+    def test_unwritable_output_exits_1(self, tmp_path, config_path, capsys, output):
+        (tmp_path / "some_dir").mkdir()
+        out = tmp_path / output
+        rc = main(["simulate", config_path, str(out), "--pitch", "35"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_negative_seed_exits_1(self, tmp_path, config_path, capsys):
+        rc = main(["simulate", config_path, str(tmp_path / "line.csv"),
+                   "--pitch", "35", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("option, value", [("--width", "0"), ("--height", "-1")])
     def test_bad_image_size_exits_1(self, tmp_path, config_path, capsys, option, value):
         rc = main(["simulate", config_path, str(tmp_path / "line.csv"),
@@ -201,6 +223,18 @@ class TestProject:
         rc = main(["project", config_path, "0", "0", "-1"])
         assert rc == 2
         assert "BehindCamera" in capsys.readouterr().err
+
+    def test_zero_depth_exits_2(self, config_path, capsys):
+        rc = main(["project", config_path, "1", "1", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: BehindCamera: point has non-positive camera depth 0 m\n"
+        )
+
+    def test_nan_coordinate_exits_1(self, config_path, capsys):
+        rc = main(["project", config_path, "0", "2", "nan"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: z must be finite, got nan\n"
 
     def test_aimed_camera_projects_line_anchor_to_centre(self, tmp_path, capsys):
         pitch_deg = math.degrees(math.atan2(2.0, 3.0))

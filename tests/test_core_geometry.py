@@ -10,20 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camline import (
-    BehindCamera,
     DistortionCoefficients,
     Intrinsics,
     NonConvergent,
-    Orientation,
     PixelPoint,
-    WorldPoint,
-    project,
     rotation_x,
     rotation_xz,
     rotation_z,
     undistort,
 )
-from camline.core_geometry import _denormalize_xy, _distort_uv, _normalize_uv, _undistort_uv
+from camline.core_geometry import (
+    _denormalize_xy,
+    _distort_uv,
+    _normalize_uv,
+    _project_uv,
+    _undistort_uv,
+)
 
 from conftest import axis_angle_matrix
 
@@ -165,7 +167,7 @@ class TestUndistort:
     def test_distort_of_undistort_matches_target(self, default_k):
         d = DistortionCoefficients(k1=5e-8, p1=-1e-8)
         p = PixelPoint(1100.0, 650.0)
-        q = undistort(p, default_k, d, tol=1e-10)
+        q = undistort(p, default_k, d)
         u, v = _distort_uv(np.array([q.u, q.v]), default_k, d)
         assert math.hypot(u - p.u, v - p.v) < 1e-9
 
@@ -275,22 +277,25 @@ class TestRotations:
 
 
 class TestProject:
+    """``_project_uv`` on single world points, with no rotation."""
+
     def test_on_axis_point_hits_principal_point(self, default_k, zero_d):
-        p = project(WorldPoint(0.0, 0.0, 1.0), default_k, zero_d, Orientation())
-        assert p == PixelPoint(640.0, 360.0)
+        p = _project_uv(np.array([0.0, 0.0, 1.0]), default_k, zero_d, rotation_xz(0.0, 0.0))
+        assert p.tolist() == [640.0, 360.0]
 
     def test_similar_triangles(self, zero_d):
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=0.0, cy=0.0)
-        p = project(WorldPoint(0.5, 0.0, 1.0), k, zero_d, Orientation())
-        assert p == PixelPoint(500.0, 0.0)
+        p = _project_uv(np.array([0.5, 0.0, 1.0]), k, zero_d, rotation_xz(0.0, 0.0))
+        assert p.tolist() == [500.0, 0.0]
 
     def test_behind_camera_raises(self, default_k, zero_d):
-        with pytest.raises(BehindCamera):
-            project(WorldPoint(0.0, 0.0, -1.0), default_k, zero_d, Orientation())
+        # The kernel marks the point NaN; ``camline project`` raises BehindCamera.
+        p = _project_uv(np.array([0.0, 0.0, -1.0]), default_k, zero_d, rotation_xz(0.0, 0.0))
+        assert np.isnan(p).all()
 
     def test_zero_depth_raises(self, default_k, zero_d):
-        with pytest.raises(BehindCamera):
-            project(WorldPoint(1.0, 1.0, 0.0), default_k, zero_d, Orientation())
+        p = _project_uv(np.array([1.0, 1.0, 0.0]), default_k, zero_d, rotation_xz(0.0, 0.0))
+        assert np.isnan(p).all()
 
     def test_identity_pose_reduces_to_pinhole(self, zero_d):
         k = Intrinsics(fx=1050.0, fy=995.0, cx=633.0, cy=351.5, skew=0.7)
@@ -298,6 +303,6 @@ class TestProject:
         for _ in range(10):
             x, y = rng.uniform(-2.0, 2.0, size=2)
             z = rng.uniform(0.5, 10.0)
-            p = project(WorldPoint(x, y, z), k, zero_d, Orientation())
-            assert p.u == pytest.approx(k.fx * x / z + k.skew * y / z + k.cx, abs=1e-12)
-            assert p.v == pytest.approx(k.fy * y / z + k.cy, abs=1e-12)
+            u, v = _project_uv(np.array([x, y, z]), k, zero_d, rotation_xz(0.0, 0.0))
+            assert u == pytest.approx(k.fx * x / z + k.skew * y / z + k.cx, abs=1e-12)
+            assert v == pytest.approx(k.fy * y / z + k.cy, abs=1e-12)

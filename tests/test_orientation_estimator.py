@@ -23,13 +23,12 @@ from camline import (
     SyntheticScene,
     central_pixel,
     estimate_orientation,
-    estimate_pitch,
     render_line,
     residual_z_spread,
     rotation_x,
 )
 from camline.core_geometry import _normalize_uv
-from camline.orientation_estimator import _estimate, _fit_line, _plane_points
+from camline.orientation_estimator import _estimate, _fit_line, _pitch, _plane_points
 
 from conftest import line_angle_distance
 
@@ -109,19 +108,23 @@ class TestEstimateRoll:
 class TestEstimatePitch:
     def test_centre_at_principal_point(self):
         sc = SceneConstraints(c0=2.0, z0=2.0)
-        assert estimate_pitch(0.0, sc) == pytest.approx(math.pi / 4, abs=1e-15)
+        assert _pitch([0.0], sc, [None]) == [pytest.approx(math.pi / 4, abs=1e-15)]
 
     def test_hand_substitution(self, sc):
         # (2 - 3*0.25) / (3 + 2*0.25) = 1.25/3.5
-        got = estimate_pitch(0.25, sc)
+        failures = [None]
+        (got,) = _pitch([0.25], sc, failures)
+        assert failures == [None]
         assert got == pytest.approx(0.3430239404207034, abs=1e-14)
         # Independent check: the central pixel back-projects to depth z0.
         p, _ = _plane_points(np.array([0.0, 0.25]), rotation_x(got), sc.c0)
         assert p[2] == pytest.approx(sc.z0, abs=1e-10)
 
     def test_degenerate_denominator(self, sc):
-        with pytest.raises(DegenerateGeometry):
-            estimate_pitch(-sc.z0 / sc.c0, sc)
+        failures = [None]
+        (got,) = _pitch([-sc.z0 / sc.c0], sc, failures)
+        assert isinstance(failures[0], DegenerateGeometry)
+        assert math.isnan(got)
 
     def test_recovers_synthetic_ground_truth(self, default_k, zero_d, sc):
         scene = _scene(0.0, 0.4, default_k, sc=sc)
@@ -262,7 +265,8 @@ class TestEstimateOrientation:
         assert roll == pytest.approx(want, abs=1e-15)
         for xn, yn in ((x1, y1), (x2, y2)):
             height = math.cos(roll) * yn - math.sin(roll) * xn
-            assert est.orientation.pitch == pytest.approx(estimate_pitch(height, sc), abs=1e-12)
+            (pitch,) = _pitch([height], sc, [None])
+            assert est.orientation.pitch == pytest.approx(pitch, abs=1e-12)
 
     def test_duplicated_pixels_raise(self, default_k, zero_d, sc):
         obs = ReferenceLineObservation.from_array(np.tile([700.0, 450.0], (5, 1)))
@@ -314,10 +318,10 @@ class TestResidualZSpread:
         gt = Orientation(roll=0.06, pitch=0.5)
         scene = SyntheticScene(ground_truth=gt, sc=sc, k=default_k)
         obs = render_line(scene)
-        base = residual_z_spread(obs, default_k, zero_d, gt, sc.c0).spread
+        base, _ = residual_z_spread(obs, default_k, zero_d, gt, sc.c0)
         for delta in (0.01, -0.01):
             perturbed = Orientation(roll=gt.roll + delta, pitch=gt.pitch)
-            spread = residual_z_spread(obs, default_k, zero_d, perturbed, sc.c0).spread
+            spread, _ = residual_z_spread(obs, default_k, zero_d, perturbed, sc.c0)
             assert spread > base
 
     def test_two_pixel_observation(self, default_k, zero_d, sc):

@@ -14,12 +14,10 @@ from camline import (
     NoHorizonIntersection,
     Orientation,
     SceneConstraints,
-    WorldPoint,
-    project,
     rotation_x,
     rotation_xz,
 )
-from camline.core_geometry import _normalize_uv, _undistort_uv
+from camline.core_geometry import _normalize_uv, _project_uv, _undistort_uv
 from camline.orientation_estimator import HORIZON_EPS, _depth_stats, _plane_points
 
 
@@ -171,17 +169,15 @@ class TestUndistortThenBackProject:
                 roll=rng.uniform(-0.25, 0.25), pitch=rng.uniform(0.1, 1.0)
             )
             c0 = rng.uniform(0.5, 5.0)
-            w = WorldPoint(rng.uniform(-3.0, 3.0), c0, rng.uniform(0.5, 10.0))
+            w = np.array([rng.uniform(-3.0, 3.0), c0, rng.uniform(0.5, 10.0)])
             rot = rotation_xz(orientation.pitch, orientation.roll)
-            try:
-                pix = project(w, default_k, mild_d, orientation)
-            except Exception:
+            # A point behind the camera projects to NaN and fails the image test.
+            u, v = _project_uv(w, default_k, mild_d, rot)
+            if not (0 <= u < 1280 and 0 <= v < 720):
                 continue
-            if not (0 <= pix.u < 1280 and 0 <= pix.v < 720):
-                continue
-            (x, _, z), missed = back_project(pix.u, pix.v, default_k, rot, c0, mild_d)
+            (x, _, z), missed = back_project(u, v, default_k, rot, c0, mild_d)
             assert not missed
-            worst = max(worst, abs(x - w.x), abs(z - w.z))
+            worst = max(worst, abs(x - w[0]), abs(z - w[2]))
             n_done += 1
         assert worst < 1e-6
 
@@ -194,21 +190,21 @@ class TestUndistortThenBackProject:
                 roll=rng.uniform(-0.25, 0.25), pitch=rng.uniform(0.1, 1.0)
             )
             c0 = rng.uniform(0.5, 5.0)
-            w = WorldPoint(rng.uniform(-3.0, 3.0), c0, rng.uniform(0.5, 10.0))
-            try:
-                pix = project(w, default_k, zero_d, orientation)
-            except Exception:
-                continue
+            w = np.array([rng.uniform(-3.0, 3.0), c0, rng.uniform(0.5, 10.0)])
             rot = rotation_xz(orientation.pitch, orientation.roll)
-            (x, _, z), missed = back_project(pix.u, pix.v, default_k, rot, c0, zero_d)
+            u, v = _project_uv(w, default_k, zero_d, rot)
+            if not (np.isfinite(u) and np.isfinite(v)):
+                continue  # behind the camera
+            (x, _, z), missed = back_project(u, v, default_k, rot, c0, zero_d)
             assert not missed
-            worst = max(worst, abs(x - w.x), abs(z - w.z))
+            worst = max(worst, abs(x - w[0]), abs(z - w[2]))
             n_done += 1
         assert worst < 1e-9
 
     def test_above_horizon_after_undistortion(self, default_k, zero_d):
         # A point above the camera projects fine but its ray never descends.
         orientation = Orientation(roll=0.0, pitch=0.3)
-        pix = project(WorldPoint(0.0, -1.0, 5.0), default_k, zero_d, orientation)
         rot = rotation_xz(orientation.pitch, orientation.roll)
-        assert back_project(pix.u, pix.v, default_k, rot, 2.0, zero_d)[1]
+        u, v = _project_uv(np.array([0.0, -1.0, 5.0]), default_k, zero_d, rot)
+        assert np.isfinite([u, v]).all()
+        assert back_project(u, v, default_k, rot, 2.0, zero_d)[1]

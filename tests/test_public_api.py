@@ -2,11 +2,13 @@
 
 A name added to or dropped from ``camline.__all__`` has to be added to or
 dropped from ``PUBLIC`` too, so the size of the API changes only on purpose.
+Every public function also has a caller outside its own module.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import camline
@@ -32,13 +34,9 @@ PUBLIC = [
     "SyntheticScene",
     "TooFewVisible",
     "TrialReport",
-    "WorldPoint",
-    "ZSpread",
     "central_pixel",
     "estimate_orientation",
-    "estimate_pitch",
     "load_camera_config",
-    "project",
     "render_line",
     "residual_z_spread",
     "rotation_x",
@@ -49,11 +47,26 @@ PUBLIC = [
     "write_sweep_csv",
 ]
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
+SOURCES = sorted((ROOT / "src" / "camline").glob("*.py"))
+
+# The reference factors that ``rotation_xz`` is tested against.
+UNCALLED_FUNCTIONS = {"rotation_x", "rotation_z"}
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Names that ``path`` imports by ``from camline import`` or a relative import."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "camline")
+        for alias in node.names
+    }
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 31
     assert len(set(camline.__all__)) == len(camline.__all__)
     assert sorted(camline.__all__) == PUBLIC
 
@@ -64,12 +77,21 @@ def test_every_public_name_resolves():
 
 
 def test_bench_imports_only_public_names():
-    tree = ast.parse(WORKLOADS.read_text())
-    imported = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "camline"
-        for alias in node.names
-    ]
+    imported = _imported_names(WORKLOADS)
     assert imported, f"{WORKLOADS.name} imports nothing from camline"
     assert sorted(set(imported) - set(camline.__all__)) == []
+
+
+def test_every_public_function_has_a_caller_in_another_module():
+    # A function counts as called when the benchmark or a camline module
+    # other than the one defining it imports it by name.
+    uncalled = []
+    for name in camline.__all__:
+        obj = getattr(camline, name)
+        if not inspect.isfunction(obj) or name in UNCALLED_FUNCTIONS:
+            continue
+        home = obj.__module__.rsplit(".", 1)[-1] + ".py"
+        callers = [WORKLOADS] + [path for path in SOURCES if path.name != home]
+        if not any(name in _imported_names(path) for path in callers):
+            uncalled.append(name)
+    assert uncalled == []

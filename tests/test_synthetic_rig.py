@@ -61,6 +61,14 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match=field):
             SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_points", 50.0), ("n_points", True), ("rng_seed", -1),
+                         ("rng_seed", 1.5), ("rng_seed", False)],
+    )
+    def test_counts_must_be_ints_in_range(self, default_k, sc, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, **{field: value})
+
     def test_line_behind_camera_rejected_by_constraints(self):
         with pytest.raises(ValueError, match="z0"):
             SceneConstraints(c0=2.0, z0=-3.0)
@@ -187,6 +195,13 @@ class TestSweep:
             ("seeds_per_cell", -1),
             ("roll_range", (-0.1, math.nan)),
             ("pitch_range", (0.4, math.inf)),
+            ("seeds_per_cell", 2.0),
+            ("seeds_per_cell", True),
+            ("base_seed", -1),
+            ("base_seed", 1.5),
+            ("roll_range", (0.1, 0.0)),
+            ("pitch_range", (0.65, 0.5)),
+            ("roll_range", (0.1,)),
         ],
     )
     def test_bad_axis_raises(self, base_scene, field, value):
