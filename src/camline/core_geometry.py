@@ -17,8 +17,8 @@ top-left corner.
 
 Rotation convention
 -------------------
-``rotation_x`` / ``rotation_z`` / ``rotation_xz`` build matrices that map
-*camera-frame* directions into *world-frame* directions::
+``rotation_xz`` builds the matrix that maps *camera-frame* directions into
+*world-frame* directions::
 
     world_dir = R @ camera_dir
 
@@ -53,8 +53,6 @@ __all__ = [
     "PixelPoint",
     "Orientation",
     "undistort",
-    "rotation_x",
-    "rotation_z",
     "rotation_xz",
 ]
 
@@ -346,21 +344,12 @@ def undistort(
 # ---------------------------------------------------------------------------
 
 
-def rotation_x(theta: float) -> np.ndarray:
-    """Pitch rotation about the lateral (x) axis; camera-to-world map."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-
-
-def rotation_z(lam: float) -> np.ndarray:
-    """Roll rotation about the optical (z) axis; camera-to-world map."""
-    c, s = math.cos(lam), math.sin(lam)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def rotation_xz(theta: float, lam: float) -> np.ndarray:
-    """Combined pitch-then-roll map, equal to ``rotation_x(theta) @ rotation_z(lam)``.
+    """Combined pitch-then-roll map ``Rx(theta) @ Rz(lam)``, camera-to-world.
 
+    ``Rx(theta)`` pitches about the lateral (x) axis,
+    ``[[1, 0, 0], [0, cos, sin], [0, -sin, cos]]``, and ``Rz(lam)`` rolls
+    about the optical (z) axis, ``[[cos, sin, 0], [-sin, cos, 0], [0, 0, 1]]``.
     The composition order is fixed; the closed-form entries below are what the
     estimators invert, so it is not configurable.
     """
@@ -388,12 +377,14 @@ def _project_uv(
     ``rot`` is the camera-to-world rotation, (3, 3) or a stack (S, 3, 3);
     a stack gives (S, ..., 2).  Rotates the points into the camera frame,
     divides by depth, applies the intrinsic map and then the distortion map.
-    Rows with depth <= 0 come out as NaN instead of raising.  With no
+    Rows with depth <= 0 come out as NaN instead of raising, and rows whose
+    pixel overflows come out infinite or NaN; callers check finiteness.  With no
     rotation and no lens this is the pinhole map ``u = fx*x/z + skew*y/z + cx``,
     ``v = fy*y/z + cy``.
     """
-    cam = world @ rot  # rows are R.T @ w
-    z = cam[..., 2:]
-    xy = cam[..., :2] / np.where(z > 0.0, z, np.nan)
-    return _distort_uv(_denormalize_xy(xy, k), k, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cam = world @ rot  # rows are R.T @ w
+        z = cam[..., 2:]
+        xy = cam[..., :2] / np.where(z > 0.0, z, np.nan)
+        return _distort_uv(_denormalize_xy(xy, k), k, d)
 

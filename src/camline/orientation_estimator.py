@@ -68,16 +68,24 @@ class ReferenceLineObservation:
 
     @classmethod
     def from_array(cls, uv: np.ndarray) -> "ReferenceLineObservation":
-        """Build from an (N, 2) array of (u, v) pixel coordinates."""
+        """Build from an (N, 2) array-like of (u, v) pixel coordinates.
+
+        The pixels hold exactly the doubles of ``np.asarray(uv, dtype=float)``.
+
+        Raises:
+            ValueError: ``uv`` is not (N, 2), N < 2, or a value is not
+                finite (the message names ``u`` or ``v``).
+        """
         arr = np.asarray(uv, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"expected an (N, 2) array of pixels, got shape {arr.shape}")
-        return cls(tuple(PixelPoint(float(u), float(v)) for u, v in arr))
+        # One tolist() gives Python floats: no per-row views or numpy scalars.
+        return cls(tuple(PixelPoint(u, v) for u, v in arr.tolist()))
 
     def uv_array(self) -> np.ndarray:
         """(N, 2) array of the observed pixel coordinates."""
         # One flat list of floats builds faster than N two-element rows; the
-        # copy is C-ordered, which row-by-row readers such as from_array need.
+        # copy makes each row contiguous, as an (N, 2) array usually is.
         us, vs = [p.u for p in self.pixels], [p.v for p in self.pixels]
         return np.array(us + vs).reshape(2, -1).T.copy()
 
@@ -115,7 +123,7 @@ def _pitch(heights: list[float], sc: SceneConstraints, failures: list) -> list[f
     height ``cos(roll)*yn - sin(roll)*xn``, the same at every point of the
     line.  It equals the line's crossing of xn = 0 only at roll 0.
     Back-projecting the de-rolled point ``(0, y')`` through
-    ``rotation_x(pitch)`` lands at depth ``z0`` exactly.
+    ``rotation_xz(pitch, 0)`` lands at depth ``z0`` exactly.
 
     Records :class:`DegenerateGeometry` where the denominator ``z0 + c0*y'``
     vanishes, i.e. the line sits where pitch is unobservable; the pitch
@@ -145,7 +153,8 @@ def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[
     ``0.5*atan2(2*Sxy, Sxx - Syy)`` of the centred scatter's principal axis,
     wrapped into (-pi/2, pi/2], and the de-rolled height
     ``cos(roll)*yn - sin(roll)*xn`` of the centroid, which every point of
-    the fitted line shares (Pearson 1901).
+    the fitted line shares (Pearson 1901).  Both are NaN where the scatter
+    overflowed: it fixes no direction then.
     """
     weights = visible[..., None, :].astype(float)
     centroid = (weights @ norm)[..., 0, :] / visible.sum(axis=-1)[..., None]
@@ -155,7 +164,11 @@ def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[
     for ((sxx, sxy), (_, syy)), (x_mean, y_mean) in zip(
         scatter.reshape(-1, 2, 2).tolist(), centroid.reshape(-1, 2).tolist()
     ):
-        roll = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+        # |Sxy| <= (Sxx + Syy) / 2, so a finite trace means a finite scatter.
+        if math.isfinite(sxx + syy):
+            roll = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+        else:
+            roll = math.nan
         if roll <= -math.pi / 2:
             roll += math.pi
         rolls.append(roll)
@@ -193,8 +206,15 @@ def _fit_observation(
             failures[i] = DegenerateLine(
                 f"line pixels span {span:.3g} px; they must span more than 1 px"
             )
-    norm = _normalize_uv(und, k)
-    return (norm, *_fit_line(norm, visible), failures)
+    # A focal length far below the line's pixel span can overflow the
+    # normalized points or their scatter; the fit then gives a NaN roll.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _normalize_uv(und, k)
+        rolls, heights = _fit_line(norm, visible)
+    for i, roll in enumerate(rolls):
+        if math.isnan(roll) and failures[i] is None:
+            failures[i] = DegenerateLine("the line's scatter overflows in normalized coordinates")
+    return norm, rolls, heights, failures
 
 
 def _batch_of_one(obs: ReferenceLineObservation) -> tuple[np.ndarray, np.ndarray]:

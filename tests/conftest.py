@@ -39,6 +39,18 @@ def axis_angle_matrix(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * kmat + (1.0 - math.cos(angle)) * (kmat @ kmat)
 
 
+def rotation_x(theta: float) -> np.ndarray:
+    """Pitch factor of ``rotation_xz``: about the lateral (x) axis, camera-to-world."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+
+
+def rotation_z(lam: float) -> np.ndarray:
+    """Roll factor of ``rotation_xz``: about the optical (z) axis, camera-to-world."""
+    c, s = math.cos(lam), math.sin(lam)
+    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def line_angle_distance(a: float, b: float) -> float:
     """Distance between two undirected line angles (mod pi)."""
     diff = abs(a - b) % math.pi

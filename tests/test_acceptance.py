@@ -24,15 +24,15 @@ from camline import (
     estimate_orientation,
     render_line,
     residual_z_spread,
-    rotation_x,
     rotation_xz,
-    rotation_z,
     sweep,
     undistort,
 )
 from camline.cli import main
 from camline.core_geometry import _distort_uv, _normalize_uv, _project_uv, _undistort_uv
 from camline.orientation_estimator import _fit_line, _pitch, _plane_points
+
+from conftest import rotation_x, rotation_z
 
 IMAGE_W, IMAGE_H = 1280, 720
 

@@ -14,9 +14,7 @@ from camline import (
     Intrinsics,
     NonConvergent,
     PixelPoint,
-    rotation_x,
     rotation_xz,
-    rotation_z,
     undistort,
 )
 from camline.core_geometry import (
@@ -27,7 +25,7 @@ from camline.core_geometry import (
     _undistort_uv,
 )
 
-from conftest import axis_angle_matrix
+from conftest import axis_angle_matrix, rotation_x, rotation_z
 
 angles = st.floats(min_value=-1.5, max_value=1.5)
 

@@ -14,6 +14,7 @@ from camline import (
     DegenerateGeometry,
     DegenerateLine,
     DistortionCoefficients,
+    Intrinsics,
     NoHorizonIntersection,
     NonConvergent,
     Orientation,
@@ -21,16 +22,16 @@ from camline import (
     ReferenceLineObservation,
     SceneConstraints,
     SyntheticScene,
+    TooFewVisible,
     central_pixel,
     estimate_orientation,
     render_line,
     residual_z_spread,
-    rotation_x,
 )
 from camline.core_geometry import _normalize_uv
 from camline.orientation_estimator import _estimate, _fit_line, _pitch, _plane_points
 
-from conftest import line_angle_distance
+from conftest import line_angle_distance, rotation_x
 
 coords = st.floats(min_value=-0.8, max_value=0.8)
 
@@ -58,6 +59,29 @@ class TestObservation:
     def test_from_array_shape_check(self):
         with pytest.raises(ValueError):
             ReferenceLineObservation.from_array(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "uv",
+        [[(1, 2.5), (-0.0, -3e-310), (0.1, 1e300)], np.array([[3, -4], [5, 6], [2**53 + 1, 0]])],
+        ids=["tuples", "ints"],
+    )
+    def test_from_array_pixels_are_the_float_array(self, uv):
+        obs = ReferenceLineObservation.from_array(uv)
+        expected = np.asarray(uv, dtype=float)
+        assert np.array([[p.u, p.v] for p in obs.pixels]).tobytes() == expected.tobytes()
+        assert all(type(p.u) is float and type(p.v) is float for p in obs.pixels)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column, name", [(0, "u"), (1, "v")])
+    def test_from_array_names_a_non_finite_field(self, bad, column, name):
+        uv = np.array([[1.0, 2.0], [3.0, 4.0]])
+        uv[1, column] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+            ReferenceLineObservation.from_array(uv)
+
+    def test_from_array_needs_two_rows(self):
+        with pytest.raises(ValueError, match="at least 2 points, got 1"):
+            ReferenceLineObservation.from_array(np.array([[1.0, 2.0]]))
 
     def test_round_trips_through_array(self):
         uv = np.array([[1.0, 2.0], [3.0, 4.5]])
@@ -280,6 +304,25 @@ class TestEstimateOrientation:
         est = estimate_orientation(obs, default_k, zero_d, sc)
         assert est.orientation.roll == pytest.approx(math.pi / 2, abs=1e-12)
         assert est.residual_z_spread > 0.0
+
+    @pytest.mark.parametrize(
+        "fx, c0, extent, error",
+        [
+            (1e-300, 1e-300, 1e-300, DegenerateLine),  # the normalized scatter overflows
+            (1e-300, 1e-300, 1e300, TooFewVisible),  # the projection's division overflows
+            (1e-8, 1e-300, 3.0, TooFewVisible),  # the distortion's radius overflows
+        ],
+    )
+    @pytest.mark.parametrize(
+        "d", [DistortionCoefficients(), DistortionCoefficients(k1=-1e-7, p1=1e-6)],
+        ids=["no_lens", "mild_lens"],
+    )
+    def test_extreme_scales_raise_a_named_error_without_a_warning(self, fx, c0, extent, error, d):
+        k = Intrinsics(fx=fx, fy=fx, cx=640.0, cy=360.0)
+        sc = SceneConstraints(c0=c0, z0=c0)
+        scene = _scene(0.05, 0.6, k, d, sc, line_x_extent=extent, noise_sigma=0.5, rng_seed=3)
+        with pytest.raises(error):
+            estimate_orientation(render_line(scene), k, d, sc)
 
     @pytest.mark.parametrize("far", [1e200, 1e300])
     @pytest.mark.parametrize("k1", [0.0, -1e-8], ids=["no_lens", "mild_lens"])

@@ -14,11 +14,12 @@ from camline import (
     NoHorizonIntersection,
     Orientation,
     SceneConstraints,
-    rotation_x,
     rotation_xz,
 )
 from camline.core_geometry import _normalize_uv, _project_uv, _undistort_uv
 from camline.orientation_estimator import HORIZON_EPS, _depth_stats, _plane_points
+
+from conftest import rotation_x
 
 
 def back_project(u, v, k, rot, c0, d=None):

@@ -39,9 +39,7 @@ PUBLIC = [
     "load_camera_config",
     "render_line",
     "residual_z_spread",
-    "rotation_x",
     "rotation_xz",
-    "rotation_z",
     "sweep",
     "undistort",
     "write_sweep_csv",
@@ -50,9 +48,6 @@ PUBLIC = [
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "bench" / "workloads.py"
 SOURCES = sorted((ROOT / "src" / "camline").glob("*.py"))
-
-# The reference factors that ``rotation_xz`` is tested against.
-UNCALLED_FUNCTIONS = {"rotation_x", "rotation_z"}
 
 
 def _imported_names(path: Path) -> set[str]:
@@ -66,7 +61,7 @@ def _imported_names(path: Path) -> set[str]:
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 29
     assert len(set(camline.__all__)) == len(camline.__all__)
     assert sorted(camline.__all__) == PUBLIC
 
@@ -88,7 +83,7 @@ def test_every_public_function_has_a_caller_in_another_module():
     uncalled = []
     for name in camline.__all__:
         obj = getattr(camline, name)
-        if not inspect.isfunction(obj) or name in UNCALLED_FUNCTIONS:
+        if not inspect.isfunction(obj):
             continue
         home = obj.__module__.rsplit(".", 1)[-1] + ".py"
         callers = [WORKLOADS] + [path for path in SOURCES if path.name != home]
