@@ -6,13 +6,20 @@ Two families matter to callers (and to the CLI's exit codes):
   CSV files, bad field values) and files the CLI cannot read or write.  CLI
   exit code 1.
 * :class:`GeometryError` -- domain or numerical failures raised by otherwise
-  valid inputs (rays missing the plane, non-invertible lens regions, ...).
-  CLI exit code 2.
+  valid inputs: a pixel the lens cannot invert (:class:`NonConvergent`), line
+  pixels too close to fix a direction (:class:`DegenerateLine`), a pixel that
+  back-projects at or above the horizon (:class:`NoHorizonIntersection`), a
+  synthetic line with fewer than two pixels in the image
+  (:class:`TooFewVisible`) and a point behind the camera
+  (:class:`BehindCamera`).  Every line in front of and below the camera has
+  a pitch, so the estimators have no other failure.  CLI exit code 2.
+
+Every leaf class is raised outside this module.
 """
 
 __all__ = [
     "CamlineError", "ConfigError", "GeometryError", "NonConvergent", "BehindCamera",
-    "DegenerateLine", "DegenerateGeometry", "NoHorizonIntersection", "TooFewVisible",
+    "DegenerateLine", "NoHorizonIntersection", "TooFewVisible",
 ]
 
 
@@ -43,10 +50,6 @@ class BehindCamera(GeometryError):
 
 class DegenerateLine(GeometryError):
     """The observed line points are too close together to define a direction."""
-
-
-class DegenerateGeometry(GeometryError):
-    """Scene constraints make the requested estimate unobservable."""
 
 
 class NoHorizonIntersection(GeometryError):

@@ -36,7 +36,7 @@ from .core_geometry import (
     _undistort_uv,
     rotation_xz,
 )
-from .errors import DegenerateGeometry, DegenerateLine, NoHorizonIntersection
+from .errors import DegenerateLine, NoHorizonIntersection
 
 __all__ = [
     "ReferenceLineObservation",
@@ -116,31 +116,18 @@ def _raise_first(failures: list) -> None:
             raise failure
 
 
-def _pitch(heights: list[float], sc: SceneConstraints, failures: list) -> list[float]:
+def _pitch(heights: list[float], sc: SceneConstraints) -> list[float]:
     """Pitch of each observation from its line's de-rolled normalized height.
 
-    Evaluates ``atan((c0 - z0*y') / (z0 + c0*y'))`` with ``y'`` the de-rolled
-    height ``cos(roll)*yn - sin(roll)*xn``, the same at every point of the
-    line.  It equals the line's crossing of xn = 0 only at roll 0.
-    Back-projecting the de-rolled point ``(0, y')`` through
+    The line lies ``atan2(c0, z0)`` below the horizontal, and the de-rolled
+    camera sees it ``atan(y')`` below its optical axis, with ``y'`` the
+    de-rolled height ``cos(roll)*yn - sin(roll)*xn``, the same at every point
+    of the line.  The pitch is their difference, in (-pi/2, pi) for every
+    finite ``y'``: back-projecting the de-rolled point ``(0, y')`` through
     ``rotation_xz(pitch, 0)`` lands at depth ``z0`` exactly.
-
-    Records :class:`DegenerateGeometry` where the denominator ``z0 + c0*y'``
-    vanishes, i.e. the line sits where pitch is unobservable; the pitch
-    there is NaN.
     """
-    pitches = []
-    for i, height in enumerate(heights):
-        den = sc.z0 + sc.c0 * height
-        if abs(den) < 1e-12:
-            if failures[i] is None:
-                failures[i] = DegenerateGeometry(
-                    f"pitch is unobservable: z0 + c0*y' = {den:.3e} vanishes"
-                )
-            pitches.append(math.nan)
-        else:
-            pitches.append(math.atan((sc.c0 - sc.z0 * height) / den))
-    return pitches
+    depression = math.atan2(sc.c0, sc.z0)
+    return [depression - math.atan(height) for height in heights]
 
 
 def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[float]]:
@@ -248,14 +235,19 @@ def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> tuple[np.ndar
     rotation, (3, 3) or one per observation (T, 3, 3) for points
     (T, N, 2), scaled until its y component reaches ``c0``.  Returns
     (..., 3) world points whose ``y`` is ``c0`` exactly, and the (...,) mask
-    of rays whose y component is below ``HORIZON_EPS``: they run along or
-    above the horizon and miss the plane, and their ``x`` and ``z`` are NaN.
+    of rays that miss the plane, whose ``x`` and ``z`` are NaN: those whose y
+    component is below ``HORIZON_EPS``, which run along or above the
+    horizon, and those that meet it beyond the float range, which by the
+    same rule meet it at the horizon.
     """
     ones = np.ones(norm.shape[:-1] + (1,))
-    rays = np.concatenate([norm, ones], axis=-1) @ rot.swapaxes(-1, -2)
-    y = rays[..., 1]
-    missed = y < HORIZON_EPS
-    points = c0 * rays / np.where(missed, np.nan, y)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rays = np.concatenate([norm, ones], axis=-1) @ rot.swapaxes(-1, -2)
+        y = rays[..., 1]
+        # Divide first: c0 * rays can overflow where the point is in range.
+        points = rays * (c0 / np.where(y < HORIZON_EPS, np.nan, y))[..., None]
+    missed = ~np.isfinite(points).all(axis=-1)
+    points[missed] = np.nan
     points[..., 1] = c0
     return points, missed
 
@@ -306,12 +298,12 @@ def _estimate(
     ``visible`` (T, N) rows are used, at least 2 per observation.  Returns
     one roll, pitch, depth spread and mean depth per observation, and per
     observation ``None`` or the :class:`GeometryError` it failed with, the
-    first of ``NonConvergent``, ``DegenerateLine``, ``DegenerateGeometry``
-    and ``NoHorizonIntersection``.  A failed observation's numbers are
+    first of ``NonConvergent``, ``DegenerateLine`` and
+    ``NoHorizonIntersection``.  A failed observation's numbers are
     meaningless.
     """
     norm, rolls, heights, failures = _fit_observation(uv, visible, k, d)
-    pitches = _pitch(heights, sc, failures)
+    pitches = _pitch(heights, sc)
     spreads, means = _depth_stats(norm, visible, rolls, pitches, sc.c0, failures)
     return rolls, pitches, spreads, means, failures
 
@@ -335,7 +327,6 @@ def estimate_orientation(
         NonConvergent: a pixel could not be undistorted.
         DegenerateLine: the undistorted pixels span a bounding box whose
             diagonal is 1 px or less.
-        DegenerateGeometry: the pitch denominator vanishes.
         NoHorizonIntersection: some pixel back-projects at or above the
             horizon under the estimated rotation (grossly wrong inputs).
     """

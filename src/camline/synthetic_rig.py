@@ -75,10 +75,8 @@ class SyntheticScene:
             raise ValueError(f"line_x_extent must be > 0, got {self.line_x_extent}")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        for name in ("image_width", "image_height"):
-            size = getattr(self, name)
-            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
-                raise ValueError(f"{name} must be a positive int, got {size!r}")
+        _require_int("image_width", self.image_width, 1)
+        _require_int("image_height", self.image_height, 1)
         # A float, so that an int sigma still writes as "0.0" in the sweep CSV.
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 

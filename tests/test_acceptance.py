@@ -160,7 +160,7 @@ def test_criterion_4_analytic_special_cases():
     worst_pitch = 0.0
     for _ in range(100):
         sc = SceneConstraints(c0=float(rng.uniform(0.5, 5.0)), z0=float(rng.uniform(1.0, 10.0)))
-        (pitch,) = _pitch([0.0], sc, [None])
+        (pitch,) = _pitch([0.0], sc)
         worst_pitch = max(worst_pitch, abs(pitch - math.atan(sc.c0 / sc.z0)))
 
     worst_roll = 0.0

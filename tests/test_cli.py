@@ -99,6 +99,41 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err == f"error: line file row 4 has {n_cells} cells; expected 2 (u,v)\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read line file {path}: [Errno 2] No such file or directory: '{path}'"),
+            ("\n\n", "line file {path} is empty; expected a 'u,v' header"),
+            ("u,v\n100,500\n200,abc\n",
+             "line file contains a non-numeric row: could not convert string to float: 'abc'"),
+        ],
+        ids=["missing", "empty", "non_numeric"],
+    )
+    def test_unusable_line_file_exits_1(self, tmp_path, config_path, capsys, text, message):
+        line_csv = tmp_path / "line.csv"
+        if text is not None:
+            line_csv.write_text(text)
+        rc = main(["estimate", config_path, str(line_csv)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=line_csv)}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "config document must be a JSON object"),
+            (dict(DEFAULT_CONFIG, scene=[2.0, 3.0]), "config section 'scene' must be an object"),
+        ],
+        ids=["document", "section"],
+    )
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys, doc, message):
+        config = tmp_path / "camera.json"
+        config.write_text(json.dumps(doc))
+        line_csv = tmp_path / "line.csv"
+        line_csv.write_text("u,v\n100.0,200.0\n300.0,200.0\n")
+        rc = main(["estimate", str(config), str(line_csv)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         bad = make_config(tmp_path, intrinsics={"fy": 0.0})
         line_csv = tmp_path / "line.csv"

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camline import (
-    DegenerateGeometry,
     DegenerateLine,
     DistortionCoefficients,
     Intrinsics,
@@ -103,6 +102,12 @@ class TestEstimateRoll:
     def test_vertical_line_maps_to_half_pi(self):
         assert _roll(0.0, 0.0, 0.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-12)
 
+    def test_minus_half_pi_wraps_to_half_pi(self):
+        # A leftward drift of 1e-17 makes Sxy a tiny positive number and
+        # Sxx - Syy negative: 0.5*atan2 gives exactly -pi/2 before the wrap.
+        rolls, _ = _fit_line(np.array([[0.0, -0.5], [-1e-17, 0.5]]), np.ones(2, bool))
+        assert rolls == [math.pi / 2]
+
     @given(x1=coords, y1=coords, x2=coords, y2=coords)
     @settings(deadline=None)
     def test_symmetric_in_point_order(self, x1, y1, x2, y2):
@@ -132,23 +137,38 @@ class TestEstimateRoll:
 class TestEstimatePitch:
     def test_centre_at_principal_point(self):
         sc = SceneConstraints(c0=2.0, z0=2.0)
-        assert _pitch([0.0], sc, [None]) == [pytest.approx(math.pi / 4, abs=1e-15)]
+        assert _pitch([0.0], sc) == [pytest.approx(math.pi / 4, abs=1e-15)]
 
     def test_hand_substitution(self, sc):
-        # (2 - 3*0.25) / (3 + 2*0.25) = 1.25/3.5
-        failures = [None]
-        (got,) = _pitch([0.25], sc, failures)
-        assert failures == [None]
+        # tan(pitch) = (2 - 3*0.25) / (3 + 2*0.25) = 1.25/3.5
+        (got,) = _pitch([0.25], sc)
         assert got == pytest.approx(0.3430239404207034, abs=1e-14)
         # Independent check: the central pixel back-projects to depth z0.
         p, _ = _plane_points(np.array([0.0, 0.25]), rotation_x(got), sc.c0)
         assert p[2] == pytest.approx(sc.z0, abs=1e-10)
 
-    def test_degenerate_denominator(self, sc):
-        failures = [None]
-        (got,) = _pitch([-sc.z0 / sc.c0], sc, failures)
-        assert isinstance(failures[0], DegenerateGeometry)
-        assert math.isnan(got)
+    @given(
+        c0=st.floats(min_value=0.1, max_value=10.0),
+        z0=st.floats(min_value=0.1, max_value=10.0),
+        offset=st.floats(min_value=-math.pi / 2 + 1e-3, max_value=math.pi / 2 - 1e-3),
+    )
+    @settings(deadline=None)
+    def test_inverts_the_line_angle_seen_below_the_axis(self, c0, z0, offset):
+        # A camera pitched theta sees the line atan2(c0, z0) - theta below
+        # its optical axis, at height tan of that, for any such angle.
+        sc = SceneConstraints(c0=c0, z0=z0)
+        theta = math.atan2(c0, z0) - offset
+        assert _pitch([math.tan(offset)], sc) == [pytest.approx(theta, abs=1e-12)]
+
+    @pytest.mark.parametrize("pitch", [1.4, math.pi / 2, 1.6])
+    def test_recovers_pitch_at_and_past_straight_down(self, zero_d, sc, pitch):
+        k = Intrinsics(fx=200.0, fy=200.0, cx=640.0, cy=360.0)
+        obs = render_line(_scene(0.03, pitch, k, sc=sc, line_x_extent=1.0))
+        assert len(obs) == 101
+        est = estimate_orientation(obs, k, zero_d, sc)
+        assert est.orientation.pitch == pytest.approx(pitch, abs=1e-12)
+        assert est.orientation.roll == pytest.approx(0.03, abs=1e-12)
+        assert est.residual_z_spread < 1e-12
 
     def test_recovers_synthetic_ground_truth(self, default_k, zero_d, sc):
         scene = _scene(0.0, 0.4, default_k, sc=sc)
@@ -240,13 +260,25 @@ class TestEstimateOrientation:
         with pytest.raises(DegenerateLine):
             estimate_orientation(obs, default_k, zero_d, sc)
 
-    def test_horizon_violation(self, default_k, zero_d, sc):
-        # A "line" far above the principal point yields a pitch estimate that
-        # sends its own pixels above the horizon.
+    def test_level_line_far_above_centre_is_a_steep_pitch(self, default_k, zero_d, sc):
+        # yn = -2: the line is seen atan(2) above the axis, so the camera
+        # looks atan2(2, 3) + atan(2) below the horizontal, past straight down.
         obs = ReferenceLineObservation.from_array(
             np.array([[540.0, -1640.0], [740.0, -1640.0]])
         )
-        with pytest.raises(NoHorizonIntersection):
+        est = estimate_orientation(obs, default_k, zero_d, sc)
+        assert est.orientation.roll == 0.0
+        assert est.orientation.pitch == pytest.approx(1.6951513213416578, abs=1e-12)
+        assert abs(est.residual_z_bias) < 1e-12
+
+    def test_horizon_violation(self, default_k, zero_d, sc):
+        # A line of 100 pixels below the centre fixes the pitch; the one
+        # outlier far above it then back-projects above the horizon.
+        uv = [(12.8 * i, 400.0) for i in range(100)] + [(640.0, -400.0)]
+        obs = ReferenceLineObservation.from_array(uv)
+        with pytest.raises(
+            NoHorizonIntersection, match=r"^1 point\(s\) back-project at or above the horizon$"
+        ):
             estimate_orientation(obs, default_k, zero_d, sc)
 
     def test_line_right_of_centre_is_recovered(self, default_k, zero_d, sc):
@@ -289,7 +321,7 @@ class TestEstimateOrientation:
         assert roll == pytest.approx(want, abs=1e-15)
         for xn, yn in ((x1, y1), (x2, y2)):
             height = math.cos(roll) * yn - math.sin(roll) * xn
-            (pitch,) = _pitch([height], sc, [None])
+            (pitch,) = _pitch([height], sc)
             assert est.orientation.pitch == pytest.approx(pitch, abs=1e-12)
 
     def test_duplicated_pixels_raise(self, default_k, zero_d, sc):
@@ -323,6 +355,16 @@ class TestEstimateOrientation:
         scene = _scene(0.05, 0.6, k, d, sc, line_x_extent=extent, noise_sigma=0.5, rng_seed=3)
         with pytest.raises(error):
             estimate_orientation(render_line(scene), k, d, sc)
+
+    def test_plane_points_near_the_float_range_give_finite_numbers(self, zero_d):
+        # c0 * ray overflows here, but the rays meet the plane about 1e300 m
+        # away, within the float range: the estimate is finite.
+        k = Intrinsics(fx=1e-8, fy=1e-8, cx=640.0, cy=360.0)
+        sc = SceneConstraints(c0=1e300, z0=1e-300)
+        obs = ReferenceLineObservation.from_array([(639, 380.01), (640, 380), (641, 379.98)])
+        est = estimate_orientation(obs, k, zero_d, sc)
+        o = est.orientation
+        assert all(map(math.isfinite, (o.roll, o.pitch, est.residual_z_spread, est.residual_z_bias)))
 
     @pytest.mark.parametrize("far", [1e200, 1e300])
     @pytest.mark.parametrize("k1", [0.0, -1e-8], ids=["no_lens", "mild_lens"])
@@ -384,6 +426,13 @@ class TestResidualZSpread:
         spread, mean_depth = residual_z_spread(obs, default_k, zero_d, orientation, sc.c0)
         assert spread == pytest.approx(abs(z[0] - z[1]), abs=1e-12)
         assert mean_depth == pytest.approx((z[0] + z[1]) / 2.0, abs=1e-12)
+
+    def test_a_point_beyond_the_float_range_misses_the_plane(self, default_k, zero_d):
+        # yn = 1e-10: the ray descends, but meets the plane 1e310 m away,
+        # which is counted as the horizon rather than overflowing.
+        obs = ReferenceLineObservation.from_array([(600.0, 400.0), (680.0, 360.0000001)])
+        with pytest.raises(NoHorizonIntersection, match=r"^1 point\(s\) back-project"):
+            residual_z_spread(obs, default_k, zero_d, Orientation(), 1e300)
 
     def test_pixels_above_the_horizon_raise(self, default_k, zero_d, sc):
         # Pixels below the principal point, under a camera pitched 0.3 rad up:

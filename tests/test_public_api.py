@@ -2,7 +2,8 @@
 
 A name added to or dropped from ``camline.__all__`` has to be added to or
 dropped from ``PUBLIC`` too, so the size of the API changes only on purpose.
-Every public function also has a caller outside its own module.
+Every public function also has a caller outside its own module, and every
+leaf error class a raiser outside ``errors.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ PUBLIC = [
     "CameraConfig",
     "CamlineError",
     "ConfigError",
-    "DegenerateGeometry",
     "DegenerateLine",
     "DistortionCoefficients",
     "GeometryError",
@@ -61,7 +61,7 @@ def _imported_names(path: Path) -> set[str]:
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == 29
+    assert len(PUBLIC) == 28
     assert len(set(camline.__all__)) == len(camline.__all__)
     assert sorted(camline.__all__) == PUBLIC
 
@@ -90,3 +90,19 @@ def test_every_public_function_has_a_caller_in_another_module():
         if not any(name in _imported_names(path) for path in callers):
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_every_leaf_error_is_named_outside_errors_py():
+    # A leaf error class must be imported by another camline module, so it
+    # cannot outlive its last raise.  Bases such as CamlineError and
+    # GeometryError are what callers catch, and have subclasses.
+    named = set().union(*(_imported_names(path) for path in SOURCES if path.name != "errors.py"))
+    leaves = [
+        name
+        for name in camline.__all__
+        if isinstance(obj := getattr(camline, name), type)
+        and issubclass(obj, camline.CamlineError)
+        and not obj.__subclasses__()
+    ]
+    assert len(leaves) == 6
+    assert sorted(set(leaves) - named) == []
