@@ -58,6 +58,7 @@ __all__ = [
 
 # Undistortion stops once a pixel's distortion is this close to its target.
 UNDISTORT_TOL_PX = 1e-9
+_DIVERGED = "undistortion diverged; pixel outside the invertible lens region"
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -123,16 +124,17 @@ class SceneConstraints:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PixelPoint:
     """Real-valued image location (u right, v down), in pixels."""
 
     u: float
     v: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _require_finite("u", self.u))
-        object.__setattr__(self, "v", _require_finite("v", self.v))
+    def __init__(self, u: float, v: float) -> None:
+        # Each field is set once: observations build one point per pixel.
+        object.__setattr__(self, "u", _require_finite("u", u))
+        object.__setattr__(self, "v", _require_finite("v", v))
 
 
 @dataclass(frozen=True)
@@ -247,13 +249,17 @@ def _undistort_uv(
     call on that observation alone.  The others take the Newton step
     ``q <- q - J(q)^-1 residual``, where ``J`` is the analytic Jacobian of
     the Brown-Conrady map (symmetric, since ``du'/dv == dv'/du``) and each
-    point's 2x2 system is solved in closed form.  With no lens the first
-    residual is zero, so one round returns the input unchanged.
+    point's 2x2 system is solved in closed form.
+
+    With no lens the map is the identity, so the pixels come back as given
+    with no Newton round, whatever ``max_iter``.  Only an observation with a
+    pixel where ``r^2 + 2*dx^2`` or ``r^2 + 2*dy^2`` overflows (from 7.7e153
+    to 1.3e154 px from the principal point, by direction) fails, as
+    diverged: the map's zero terms are NaN there.
 
     Newton converges to whichever preimage it meets, so a solution is
     accepted only on the branch that contains the principal point: the
-    radial factor and ``det J`` must both be positive there.  (With no lens
-    both are 1 everywhere, so that check is skipped.)
+    radial factor and ``det J`` must both be positive there.
 
     An observation fails with :class:`NonConvergent` when its iteration
     diverged, did not reach that tolerance within ``max_iter`` rounds, or found a
@@ -263,12 +269,19 @@ def _undistort_uv(
     target = np.asarray(uv, dtype=float)
     obs = target.reshape((-1,) + target.shape[-2:]) if target.ndim > 1 else target.reshape(1, 1, 2)
     out = obs.copy()
+    if not any((d.k1, d.k2, d.k3, d.p1, d.p2)):
+        # The identity, but where these overflow _distort_components gives 0 * inf = NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx, dy = out[..., 0] - k.cx, out[..., 1] - k.cy
+            r2 = dx * dx + dy * dy
+            finite = np.isfinite(r2 + 2.0 * dx * dx) & np.isfinite(r2 + 2.0 * dy * dy)
+        ok = finite.all(axis=-1).tolist()
+        return out.reshape(target.shape), [None if o else NonConvergent(_DIVERGED) for o in ok]
     failures: list[NonConvergent | None] = [None] * len(obs)
     index = np.arange(len(obs))  # the observations still iterating
     # Contiguous components: ufuncs on strided 2-D views cost about twice as much.
     t_u, t_v = obs.transpose(2, 0, 1).copy()
     u, v = t_u, t_v
-    lens = any((d.k1, d.k2, d.k3, d.p1, d.p2))
     # A singular or overflowing step shows up as a non-finite residual in the
     # next round, which is the detector, so the transient warnings carry no
     # information.
@@ -279,25 +292,21 @@ def _undistort_uv(
             worst = np.hypot(e_u, e_v).max(axis=-1).tolist()
             # A NaN or infinite residual stops its observation too: it diverged.
             going = [UNDISTORT_TOL_PX < w < math.inf for w in worst]
-            if lens or any(going):
-                j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)
+            j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)
             if not all(going):
-                # Without a lens, ``out`` already holds the converged targets.
                 good = []
-                on_branch = unfolded.all(axis=-1).tolist() if lens else []
+                on_branch = unfolded.all(axis=-1).tolist()
                 for pos, (i, w, go) in enumerate(zip(index.tolist(), worst, going)):
                     if go:
                         continue
                     if not w <= UNDISTORT_TOL_PX:
-                        failures[i] = NonConvergent(
-                            "undistortion diverged; pixel outside the invertible lens region"
-                        )
-                    elif lens and not on_branch[pos]:
+                        failures[i] = NonConvergent(_DIVERGED)
+                    elif not on_branch[pos]:
                         failures[i] = NonConvergent(
                             "undistortion reached a folded branch of the lens map; "
                             "pixel outside the invertible lens region"
                         )
-                    elif lens:
+                    else:
                         good.append(pos)
                 if good:
                     # Views, not copies, when every observation left is good.

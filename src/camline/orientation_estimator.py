@@ -357,6 +357,8 @@ def residual_z_spread(
     """
     uv, visible = _batch_of_one(obs)
     und, failures = _undistort_uv(uv, k, d)
+    if failures[0] is not None:
+        und[:] = (k.cx, k.cy)  # as in _fit_observation: a failed pixel may be 1e300 px out
     (spread,), (mean_depth,) = _depth_stats(
         _normalize_uv(und, k), visible, [orientation.roll], [orientation.pitch], c0, failures
     )

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from camline import (
     undistort,
 )
 from camline.core_geometry import (
+    UNDISTORT_TOL_PX,
     _denormalize_xy,
+    _distort_components,
+    _distort_jacobian,
     _distort_uv,
     _normalize_uv,
     _project_uv,
@@ -52,9 +58,31 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="k2"):
             DistortionCoefficients(k2=math.nan)
 
-    def test_pixel_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            PixelPoint(math.nan, 0.0)
+    def test_pixel_point_fields_are_floats(self):
+        p = PixelPoint(3, -4)
+        assert (p.u, p.v) == (3.0, -4.0)
+        assert type(p.u) is float and type(p.v) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pixel_point_names_the_non_finite_field(self, bad):
+        with pytest.raises(ValueError, match=r"^u must be finite"):
+            PixelPoint(bad, 0.0)
+        with pytest.raises(ValueError, match=r"^v must be finite"):
+            PixelPoint(0.0, bad)
+
+    def test_pixel_point_is_frozen(self):
+        p = PixelPoint(1.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.u = 5.0
+        with pytest.raises(ValueError, match=r"^v must be finite"):
+            dataclasses.replace(p, v=math.inf)
+
+    def test_pixel_point_is_a_value(self):
+        p = PixelPoint(1, 2.5)
+        assert p == PixelPoint(1.0, 2.5) and hash(p) == hash(PixelPoint(1.0, 2.5))
+        assert p != PixelPoint(2.5, 1.0)
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert q == p and type(q.u) is float and type(q.v) is float
 
     def test_default_distortion_is_zero(self):
         d = DistortionCoefficients()
@@ -146,6 +174,30 @@ class TestUndistort:
         p = PixelPoint(100.5, 642.0)
         assert undistort(p, default_k, zero_d) == p
 
+    @pytest.mark.parametrize("axis", [0, 1], ids=["u", "v"])
+    def test_no_lens_fails_only_where_the_map_overflows(self, default_k, zero_d, axis):
+        # Without a lens the map is the identity until r^2 + 2*dx^2 overflows,
+        # from about 7.7e153 px out along an axis, where it gives NaN; r^2
+        # alone would overflow only from 1.3e154 px.
+        # Each observation holds pixels on both sides of the principal point.
+        fine, overflowing = [1e3, 1e7, 1e15, 1e100, 1e153], [1e154, 1e155, 1e200]
+        offsets = fine + overflowing
+        batch = np.tile([default_k.cx, default_k.cy + 0.37], (len(offsets), 3, 1))
+        batch[:, 0, axis] += offsets
+        batch[:, 2, axis] -= offsets
+        und, failures = _undistort_uv(batch, default_k, zero_d)
+        assert und.tobytes() == batch.tobytes()
+        assert not np.shares_memory(und, batch)
+        assert failures[: len(fine)] == [None] * len(fine)
+        for failure in failures[len(fine):]:
+            assert isinstance(failure, NonConvergent)
+            assert str(failure).startswith("undistortion diverged")
+        for offset in overflowing:
+            p = [default_k.cx, default_k.cy]
+            p[axis] += offset
+            with pytest.raises(NonConvergent, match="^undistortion diverged"):
+                undistort(PixelPoint(*p), default_k, zero_d)
+
     def test_round_trip_random_pixels(self, default_k):
         # 1000 random pixels inside the half-image-diagonal radius,
         # mixed moderate coefficients.
@@ -196,6 +248,41 @@ class TestUndistort:
         u, v = _distort_uv(np.array([q.u, q.v]), k, d)
         back = undistort(PixelPoint(u, v), k, d, max_iter=10)
         assert math.hypot(back.u - q.u, back.v - q.v) < 1e-6
+
+    def test_round_trip_five_coefficients(self, default_k):
+        # 300 random lenses using all five coefficients.  Each ideal pixel is
+        # drawn within 1,500 px, with its whole radial segment on the unfolded
+        # branch (radial factor and det J positive).  Where it distorts into
+        # the image, undistortion must succeed and distort back onto the
+        # target.  The bound is on the distorted residual: in ideal space an
+        # ill-conditioned pixel can sit 1e-4 px from its true preimage.
+        k = default_k
+        rng = np.random.default_rng(7)
+        segment = np.linspace(0.0, 1.0, 65)[1:, None]
+        n_checked = 0
+        for _ in range(300):
+            d = DistortionCoefficients(
+                k1=rng.uniform(-6e-7, 6e-7),
+                k2=rng.uniform(-1e-12, 1e-12),
+                k3=rng.uniform(-1e-18, 1e-18),
+                p1=rng.uniform(-2e-6, 2e-6),
+                p2=rng.uniform(-2e-6, 2e-6),
+            )
+            r = 1500.0 * np.sqrt(rng.uniform(size=384))
+            phi = rng.uniform(0.0, 2.0 * math.pi, size=384)
+            dx, dy = r * np.cos(phi) * segment, r * np.sin(phi) * segment
+            *_, radial = _distort_components(k.cx + dx, k.cy + dy, k, d)
+            *_, unfolded = _distort_jacobian(dx, dy, dx * dx + dy * dy, radial, d)
+            ideal = np.stack([k.cx + dx[-1], k.cy + dy[-1]], axis=-1)[unfolded.all(axis=0)]
+            target = _distort_uv(ideal, k, d)
+            u, v = target[:, 0], target[:, 1]
+            target = target[(u >= 0.0) & (u < 1280.0) & (v >= 0.0) & (v < 720.0)]
+            und, failures = _undistort_uv(target[:, None, :], k, d)
+            assert failures == [None] * len(target)
+            back = _distort_uv(und[:, 0], k, d)
+            assert np.hypot(*(back - target).T).max(initial=0.0) <= UNDISTORT_TOL_PX
+            n_checked += len(target)
+        assert n_checked > 12_000
 
     @pytest.mark.parametrize("r", [390.0, 500.0, 1e4, 1e6])
     def test_folded_lens_raises(self, r):

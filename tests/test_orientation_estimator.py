@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 from camline import (
     DegenerateLine,
     DistortionCoefficients,
+    GeometryError,
     Intrinsics,
     NoHorizonIntersection,
     NonConvergent,
     Orientation,
+    OrientationEstimate,
     PixelPoint,
     ReferenceLineObservation,
     SceneConstraints,
@@ -434,12 +437,61 @@ class TestResidualZSpread:
         with pytest.raises(NoHorizonIntersection, match=r"^1 point\(s\) back-project"):
             residual_z_spread(obs, default_k, zero_d, Orientation(), 1e300)
 
+    @pytest.mark.parametrize("k1", [0.0, -1e-8], ids=["no_lens", "mild_lens"])
+    def test_a_far_pixel_fails_without_a_numpy_warning(self, k1):
+        # Undistortion fails on the 1e305 px pixel; normalizing it with a
+        # focal length of 1e-8 must not then overflow.
+        k = Intrinsics(fx=1e-8, fy=1e-8, cx=640.0, cy=360.0)
+        obs = ReferenceLineObservation.from_array([(0.0, 400.0), (1e305, 400.2), (1.0, 401.0)])
+        with pytest.raises(NonConvergent):
+            residual_z_spread(obs, k, DistortionCoefficients(k1=k1), Orientation(pitch=0.5), 2.0)
+
     def test_pixels_above_the_horizon_raise(self, default_k, zero_d, sc):
         # Pixels below the principal point, under a camera pitched 0.3 rad up:
         # every ray rises, so none of them meets the plane.
         obs = render_line(SyntheticScene(ground_truth=Orientation(pitch=0.5), sc=sc, k=default_k))
         with pytest.raises(NoHorizonIntersection, match=rf"^{len(obs)} point\(s\) back-project"):
             residual_z_spread(obs, default_k, zero_d, Orientation(pitch=-0.3), sc.c0)
+
+
+class TestWholeDomain:
+    SCALES = [1e-300, 1e-8, 1.0, 1e8, 1e300]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extent", [1e-300, 3.0, 1e300])
+    @pytest.mark.parametrize(
+        "d", [DistortionCoefficients(), DistortionCoefficients(k1=-1e-7, p1=1e-6)],
+        ids=["no_lens", "mild_lens"],
+    )
+    def test_every_call_is_finite_or_a_named_error(self, extent, d):
+        # Over the grid of focal length, camera height and line depth, each
+        # public call on each rendered line returns finite numbers or raises
+        # a named error, and no numpy warning escapes.
+        n_rendered = 0
+        for f, c0, z0 in itertools.product(self.SCALES, repeat=3):
+            k = Intrinsics(fx=f, fy=f, cx=640.0, cy=360.0)
+            sc = SceneConstraints(c0=c0, z0=z0)
+            scene = _scene(0.05, 0.6, k, d, sc, line_x_extent=extent, noise_sigma=0.5, rng_seed=3)
+            try:
+                obs = render_line(scene)
+            except TooFewVisible:
+                continue
+            n_rendered += 1
+            calls = [
+                lambda: estimate_orientation(obs, k, d, sc),
+                lambda: central_pixel(obs, k, d),
+                lambda: residual_z_spread(obs, k, d, scene.ground_truth, c0),
+            ]
+            for call in calls:
+                try:
+                    result = call()
+                except (GeometryError, ValueError):
+                    continue
+                if isinstance(result, OrientationEstimate):
+                    o = result.orientation
+                    result = (o.roll, o.pitch, result.residual_z_spread, result.residual_z_bias)
+                assert np.isfinite(result).all()
+        assert n_rendered > 0
 
 
 class TestOracleEquivalence:
