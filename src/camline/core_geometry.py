@@ -184,13 +184,28 @@ def _distort_components(
     Returns ``(u', v', dx, dy, r2, radial)``: the distorted components, the
     offsets from the principal point, their squared radius and the radial
     factor ``1 + k1*r^2 + k2*r^4 + k3*r^6``.
+
+    The ``k2``, ``k3``, ``p1`` and ``p2`` terms are left out when their
+    coefficient is zero.  Such a term is a signed zero wherever it is
+    finite, so each finite result equals the full map's bit for bit (up to
+    the sign of a zero result).
     """
     dx = u - k.cx
     dy = v - k.cy
     r2 = dx * dx + dy * dy
-    radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2 + d.k3 * r2 * r2 * r2
-    u_d = k.cx + dx * radial + d.p1 * (r2 + 2.0 * dx * dx) + 2.0 * d.p2 * dx * dy
-    v_d = k.cy + dy * radial + 2.0 * d.p1 * dx * dy + d.p2 * (r2 + 2.0 * dy * dy)
+    radial = 1.0 + d.k1 * r2
+    if d.k2:
+        radial += d.k2 * r2 * r2
+    if d.k3:
+        radial += d.k3 * r2 * r2 * r2
+    u_d = k.cx + dx * radial
+    v_d = k.cy + dy * radial
+    if d.p1:
+        u_d += d.p1 * (r2 + 2.0 * dx * dx)
+        v_d += 2.0 * d.p1 * dx * dy
+    if d.p2:
+        u_d += 2.0 * d.p2 * dx * dy
+        v_d += d.p2 * (r2 + 2.0 * dy * dy)
     return u_d, v_d, dx, dy, r2, radial
 
 
@@ -201,13 +216,24 @@ def _distort_jacobian(
 
     Returns ``(j_uu, j_uv, j_vv, det, unfolded)``: the symmetric Jacobian, its
     determinant, and where the radial factor and ``det`` are both positive,
-    which marks the branch of the map that holds the principal point.
+    which marks the branch of the map that holds the principal point.  Terms
+    with a zero coefficient are left out, as in :func:`_distort_components`.
     """
     # d(radial)/d(dx) = slope2 * dx, and likewise for dy.
-    slope2 = 2.0 * d.k1 + r2 * (4.0 * d.k2 + 6.0 * d.k3 * r2)
-    j_uu = radial + slope2 * dx * dx + 6.0 * d.p1 * dx + 2.0 * d.p2 * dy
-    j_uv = slope2 * dx * dy + 2.0 * d.p1 * dy + 2.0 * d.p2 * dx
-    j_vv = radial + slope2 * dy * dy + 2.0 * d.p1 * dx + 6.0 * d.p2 * dy
+    slope2 = 2.0 * d.k1
+    if d.k2 or d.k3:
+        slope2 = slope2 + r2 * (4.0 * d.k2 + 6.0 * d.k3 * r2)
+    j_uu = radial + slope2 * dx * dx
+    j_uv = slope2 * dx * dy
+    j_vv = radial + slope2 * dy * dy
+    if d.p1:
+        j_uu += 6.0 * d.p1 * dx
+        j_uv += 2.0 * d.p1 * dy
+        j_vv += 2.0 * d.p1 * dx
+    if d.p2:
+        j_uu += 2.0 * d.p2 * dy
+        j_uv += 2.0 * d.p2 * dx
+        j_vv += 6.0 * d.p2 * dy
     det = j_uu * j_vv - j_uv * j_uv
     return j_uu, j_uv, j_vv, det, (radial > 0.0) & (det > 0.0)
 
@@ -249,13 +275,17 @@ def _undistort_uv(
     call on that observation alone.  The others take the Newton step
     ``q <- q - J(q)^-1 residual``, where ``J`` is the analytic Jacobian of
     the Brown-Conrady map (symmetric, since ``du'/dv == dv'/du``) and each
-    point's 2x2 system is solved in closed form.
+    point's 2x2 system is solved in closed form.  Map and Jacobian leave out
+    the ``k2``, ``k3``, ``p1`` and ``p2`` terms whose coefficient is zero
+    (see :func:`_distort_components`).  The worst norm is taken as the
+    square root of the largest ``e_u^2 + e_v^2``, so a residual whose square
+    overflows (beyond about 1.3e154 px) counts as diverged.
 
     With no lens the map is the identity, so the pixels come back as given
     with no Newton round, whatever ``max_iter``.  Only an observation with a
     pixel where ``r^2 + 2*dx^2`` or ``r^2 + 2*dy^2`` overflows (from 7.7e153
     to 1.3e154 px from the principal point, by direction) fails, as
-    diverged: the map's zero terms are NaN there.
+    diverged: the tangential terms of the map are not finite there.
 
     Newton converges to whichever preimage it meets, so a solution is
     accepted only on the branch that contains the principal point: the
@@ -270,7 +300,8 @@ def _undistort_uv(
     obs = target.reshape((-1,) + target.shape[-2:]) if target.ndim > 1 else target.reshape(1, 1, 2)
     out = obs.copy()
     if not any((d.k1, d.k2, d.k3, d.p1, d.p2)):
-        # The identity, but where these overflow _distort_components gives 0 * inf = NaN.
+        # The identity.  A pixel where r^2 + 2*dx^2 or r^2 + 2*dy^2 overflows
+        # still fails as diverged: the tangential terms are not finite there.
         with np.errstate(over="ignore", invalid="ignore"):
             dx, dy = out[..., 0] - k.cx, out[..., 1] - k.cy
             r2 = dx * dx + dy * dy
@@ -289,7 +320,7 @@ def _undistort_uv(
         for _ in range(max_iter):
             u_d, v_d, dx, dy, r2, radial = _distort_components(u, v, k, d)
             e_u, e_v = u_d - t_u, v_d - t_v
-            worst = np.hypot(e_u, e_v).max(axis=-1).tolist()
+            worst = np.sqrt((e_u * e_u + e_v * e_v).max(axis=-1)).tolist()
             # A NaN or infinite residual stops its observation too: it diverged.
             going = [UNDISTORT_TOL_PX < w < math.inf for w in worst]
             j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)

@@ -359,8 +359,12 @@ def residual_z_spread(
     und, failures = _undistort_uv(uv, k, d)
     if failures[0] is not None:
         und[:] = (k.cx, k.cy)  # as in _fit_observation: a failed pixel may be 1e300 px out
+    # As in _fit_observation: a pixel far out against the focal length may
+    # normalize to infinity, and a non-finite point misses the plane.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _normalize_uv(und, k)
     (spread,), (mean_depth,) = _depth_stats(
-        _normalize_uv(und, k), visible, [orientation.roll], [orientation.pitch], c0, failures
+        norm, visible, [orientation.roll], [orientation.pitch], c0, failures
     )
     _raise_first(failures)
     return spread, mean_depth

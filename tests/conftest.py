@@ -51,6 +51,33 @@ def rotation_z(lam: float) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def distort_components_full(u, v, k: Intrinsics, d: DistortionCoefficients) -> tuple:
+    """Reference Brown-Conrady map evaluating all five terms, zero or not.
+
+    Returns ``(u', v', dx, dy, r2, radial)`` as ``_distort_components`` does.
+    """
+    dx = u - k.cx
+    dy = v - k.cy
+    r2 = dx * dx + dy * dy
+    radial = 1.0 + d.k1 * r2 + d.k2 * r2 * r2 + d.k3 * r2 * r2 * r2
+    u_d = k.cx + dx * radial + d.p1 * (r2 + 2.0 * dx * dx) + 2.0 * d.p2 * dx * dy
+    v_d = k.cy + dy * radial + 2.0 * d.p1 * dx * dy + d.p2 * (r2 + 2.0 * dy * dy)
+    return u_d, v_d, dx, dy, r2, radial
+
+
+def distort_jacobian_full(dx, dy, r2, radial, d: DistortionCoefficients) -> tuple:
+    """Reference Jacobian of :func:`distort_components_full`, all five terms.
+
+    Returns ``(j_uu, j_uv, j_vv, det, unfolded)`` as ``_distort_jacobian`` does.
+    """
+    slope2 = 2.0 * d.k1 + r2 * (4.0 * d.k2 + 6.0 * d.k3 * r2)
+    j_uu = radial + slope2 * dx * dx + 6.0 * d.p1 * dx + 2.0 * d.p2 * dy
+    j_uv = slope2 * dx * dy + 2.0 * d.p1 * dy + 2.0 * d.p2 * dx
+    j_vv = radial + slope2 * dy * dy + 2.0 * d.p1 * dx + 6.0 * d.p2 * dy
+    det = j_uu * j_vv - j_uv * j_uv
+    return j_uu, j_uv, j_vv, det, (radial > 0.0) & (det > 0.0)
+
+
 def line_angle_distance(a: float, b: float) -> float:
     """Distance between two undirected line angles (mod pi)."""
     diff = abs(a - b) % math.pi

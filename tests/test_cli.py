@@ -272,11 +272,11 @@ class TestProject:
         assert capsys.readouterr().err == "error: z must be finite, got nan\n"
 
     def test_overflowing_projection_exits_1_without_a_warning(self, tmp_path, capsys):
-        # The pixel overflows to NaN; pytest turns any numpy warning into an error.
+        # The pixel overflows to -inf; pytest turns any numpy warning into an error.
         config = make_config(tmp_path, distortion={"k1": -1e-8})
         rc = main(["project", config, "1e308", "0", "1e-300"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: u must be finite, got nan\n"
+        assert capsys.readouterr().err == "error: u must be finite, got -inf\n"
 
     def test_aimed_camera_projects_line_anchor_to_centre(self, tmp_path, capsys):
         pitch_deg = math.degrees(math.atan2(2.0, 3.0))

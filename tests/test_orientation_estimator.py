@@ -446,6 +446,14 @@ class TestResidualZSpread:
         with pytest.raises(NonConvergent):
             residual_z_spread(obs, k, DistortionCoefficients(k1=k1), Orientation(pitch=0.5), 2.0)
 
+    def test_a_far_pixel_that_undistorts_misses_the_plane_without_a_warning(self, zero_d):
+        # With no lens the 1e100 px pixel undistorts, but normalizing it with
+        # a focal length of 1e-300 overflows to infinity.
+        k = Intrinsics(fx=1e-300, fy=1e-300, cx=640.0, cy=360.0)
+        obs = ReferenceLineObservation.from_array([(0.0, 400.0), (1e100, 400.2), (1.0, 401.0)])
+        with pytest.raises(NoHorizonIntersection, match=r"^1 point\(s\) back-project"):
+            residual_z_spread(obs, k, zero_d, Orientation(pitch=0.5), 2.0)
+
     def test_pixels_above_the_horizon_raise(self, default_k, zero_d, sc):
         # Pixels below the principal point, under a camera pitched 0.3 rad up:
         # every ray rises, so none of them meets the plane.
@@ -460,8 +468,14 @@ class TestWholeDomain:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extent", [1e-300, 3.0, 1e300])
     @pytest.mark.parametrize(
-        "d", [DistortionCoefficients(), DistortionCoefficients(k1=-1e-7, p1=1e-6)],
-        ids=["no_lens", "mild_lens"],
+        "d",
+        [
+            DistortionCoefficients(),
+            DistortionCoefficients(k1=-1e-7),
+            DistortionCoefficients(k1=-1e-7, p1=1e-6),
+            DistortionCoefficients(k1=-1e-7, k2=1e-13, k3=-1e-19, p1=1e-6, p2=-1e-6),
+        ],
+        ids=["no_lens", "k1_only", "mild_lens", "five_coefficients"],
     )
     def test_every_call_is_finite_or_a_named_error(self, extent, d):
         # Over the grid of focal length, camera height and line depth, each
