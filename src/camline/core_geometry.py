@@ -23,10 +23,11 @@ Rotation convention
     world_dir = R @ camera_dir
 
 The camera sits at the world origin.  ``_project_uv`` therefore uses the
-transpose of ``rotation_xz(pitch, roll)`` as the world-to-camera map,
-while the back-projection code applies the matrix directly to the homogeneous
-ray ``(xn, yn, 1)``.  Angles are radians everywhere; roll rotates about the
-optical (z) axis and pitch about the lateral (x) axis.
+transpose of ``rotation_xz(pitch, roll)`` as the world-to-camera map; the
+estimator builds no matrix, as a ray's depth on the plane depends only on
+the pitch and its de-rolled height ``cos(roll)*yn - sin(roll)*xn``.  Angles
+are radians everywhere; roll rotates about the optical (z) axis and pitch
+about the lateral (x) axis.
 
 Distortion convention
 ---------------------
@@ -384,24 +385,24 @@ def undistort(
 # ---------------------------------------------------------------------------
 
 
-def rotation_xz(theta: float, lam: float) -> np.ndarray:
+def rotation_xz(theta: float | np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Combined pitch-then-roll map ``Rx(theta) @ Rz(lam)``, camera-to-world.
 
     ``Rx(theta)`` pitches about the lateral (x) axis,
     ``[[1, 0, 0], [0, cos, sin], [0, -sin, cos]]``, and ``Rz(lam)`` rolls
     about the optical (z) axis, ``[[cos, sin, 0], [-sin, cos, 0], [0, 0, 1]]``.
     The composition order is fixed; the closed-form entries below are what the
-    estimators invert, so it is not configurable.
+    estimators invert, so it is not configurable.  Angles that broadcast to a
+    shape S give one matrix per pair, (*S, 3, 3).
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    cl, sl = math.cos(lam), math.sin(lam)
-    return np.array(
-        [
-            [cl, sl, 0.0],
-            [-sl * ct, cl * ct, st],
-            [sl * st, -cl * st, ct],
-        ]
-    )
+    theta, lam = np.asarray(theta, dtype=float), np.asarray(lam, dtype=float)
+    ct, st = np.cos(theta), np.sin(theta)
+    cl, sl = np.cos(lam), np.sin(lam)
+    rot = np.zeros(np.broadcast_shapes(theta.shape, lam.shape) + (3, 3))
+    rot[..., 0, 0], rot[..., 0, 1] = cl, sl
+    rot[..., 1, 0], rot[..., 1, 1], rot[..., 1, 2] = -sl * ct, cl * ct, st
+    rot[..., 2, 0], rot[..., 2, 1], rot[..., 2, 2] = sl * st, -cl * st, ct
+    return rot
 
 
 # ---------------------------------------------------------------------------

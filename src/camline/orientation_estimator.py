@@ -4,8 +4,8 @@ Inputs are pixel samples along a straight scene line at known camera height
 ``c0`` and known depth ``z0`` (see :class:`~camline.core_geometry.SceneConstraints`).
 One orthogonal-regression line is fitted through every undistorted sample:
 roll is its image angle, pitch comes from its de-rolled height.  A residual
-diagnostic back-projects every sample onto the plane and reports how far the
-recovered depths are from being constant and from ``z0``.
+diagnostic takes each sample's depth on the plane from its own de-rolled
+height and reports how far the depths are from being constant and from ``z0``.
 
 Each stage is one kernel over a batch of T observations of N pixels,
 ``(T, N, 2)`` with a ``(T, N)`` mask of the rows to use, that records a
@@ -34,7 +34,6 @@ from .core_geometry import (
     SceneConstraints,
     _normalize_uv,
     _undistort_uv,
-    rotation_xz,
 )
 from .errors import DegenerateLine, NoHorizonIntersection
 
@@ -228,30 +227,6 @@ def central_pixel(
     return height / cos_roll
 
 
-def _plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Intersect the rays through normalized points (..., 2) with the plane.
-
-    Each ray is ``rot @ (xn, yn, 1)``, with ``rot`` the camera-to-world
-    rotation, (3, 3) or one per observation (T, 3, 3) for points
-    (T, N, 2), scaled until its y component reaches ``c0``.  Returns
-    (..., 3) world points whose ``y`` is ``c0`` exactly, and the (...,) mask
-    of rays that miss the plane, whose ``x`` and ``z`` are NaN: those whose y
-    component is below ``HORIZON_EPS``, which run along or above the
-    horizon, and those that meet it beyond the float range, which by the
-    same rule meet it at the horizon.
-    """
-    ones = np.ones(norm.shape[:-1] + (1,))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rays = np.concatenate([norm, ones], axis=-1) @ rot.swapaxes(-1, -2)
-        y = rays[..., 1]
-        # Divide first: c0 * rays can overflow where the point is in range.
-        points = rays * (c0 / np.where(y < HORIZON_EPS, np.nan, y))[..., None]
-    missed = ~np.isfinite(points).all(axis=-1)
-    points[missed] = np.nan
-    points[..., 1] = c0
-    return points, missed
-
-
 def _depth_stats(
     norm: np.ndarray,
     visible: np.ndarray,
@@ -264,12 +239,30 @@ def _depth_stats(
 
     ``norm`` is (T, N, 2) and ``visible`` (T, N), with one roll and pitch
     per observation; each row that is not visible repeats a visible one, as
-    :func:`_fit_observation` leaves them.  Records
-    :class:`NoHorizonIntersection` for an observation with a visible point
-    at or above the horizon; its numbers are then NaN.
+    :func:`_fit_observation` leaves them.  A point's ray
+    ``rotation_xz(pitch, roll) @ (xn, yn, 1)`` depends on it only through its
+    de-rolled height ``y' = cos(roll)*yn - sin(roll)*xn``: it descends by
+    ``sin(pitch) + cos(pitch)*y'`` and runs forward by
+    ``cos(pitch) - sin(pitch)*y'``.  It misses the plane where
+    it descends by less than ``HORIZON_EPS`` (along or above the horizon) or
+    meets it beyond the float range.  Records :class:`NoHorizonIntersection`
+    for an observation with a visible point that misses; its numbers are
+    then NaN.
     """
-    rot = np.array([rotation_xz(pitch, roll) for roll, pitch in zip(rolls, pitches)])
-    points, missed = _plane_points(norm, rot, c0)
+    # (T, 1) columns: one cosine and one sine of each angle per observation.
+    cos_roll, sin_roll, cos_pitch, sin_pitch = (
+        np.array([f(angle) for angle in angles])[:, None]
+        for angles in (rolls, pitches)
+        for f in (math.cos, math.sin)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        height = cos_roll * norm[..., 1] - sin_roll * norm[..., 0]
+        down = sin_pitch + cos_pitch * height
+        # Divide first: c0 * the forward run can overflow where the depth is in range.
+        scale = c0 / np.where(down < HORIZON_EPS, np.nan, down)
+        depths = (cos_pitch - sin_pitch * height) * scale
+    missed = ~np.isfinite(depths)
+    depths[missed] = np.nan
     # A row that is not visible repeats a visible one, so it misses only
     # where that row does.
     for i, any_missed in enumerate(missed.any(axis=-1).tolist()):
@@ -278,7 +271,6 @@ def _depth_stats(
             failures[i] = NoHorizonIntersection(
                 f"{n_missed} point(s) back-project at or above the horizon"
             )
-    depths = points[..., 2]
     spreads = depths.max(axis=-1) - depths.min(axis=-1)
     weights = visible[..., None, :].astype(float)
     means = (weights @ depths[..., None])[..., 0, 0] / visible.sum(axis=-1)
@@ -319,9 +311,9 @@ def estimate_orientation(
     Pipeline: undistort all pixels; fit one orthogonal-regression line through
     all of them in normalized coordinates, whose angle is the roll; feed its
     de-rolled height ``cos(roll)*yn - sin(roll)*xn``, the same at every point
-    of the line, to the pitch formula; then back-project every pixel through
-    the combined rotation to fill in the depth residuals.  On two pixels the
-    roll is the image angle of the segment between them.
+    of the line, to the pitch formula; then take every pixel's depth on the
+    plane from its own de-rolled height to fill in the depth residuals.  On
+    two pixels the roll is the image angle of the segment between them.
 
     Raises:
         NonConvergent: a pixel could not be undistorted.

@@ -111,8 +111,8 @@ def _line_pixels(scene: SyntheticScene, poses: list[Orientation]) -> np.ndarray:
     n = scene.n_points
     xs = np.linspace(-scene.line_x_extent, scene.line_x_extent, n)
     world = np.column_stack([xs, np.full(n, scene.sc.c0), np.full(n, scene.sc.z0)])
-    rot = np.stack([rotation_xz(pose.pitch, pose.roll) for pose in poses])
-    return _project_uv(world, scene.k, DistortionCoefficients(), rot)
+    pitches, rolls = np.array([(pose.pitch, pose.roll) for pose in poses]).T
+    return _project_uv(world, scene.k, DistortionCoefficients(), rotation_xz(pitches, rolls))
 
 
 def _observe(
@@ -132,8 +132,9 @@ def _observe(
     u, v, *terms = _distort_components(ideal[..., 0], ideal[..., 1], scene.k, d)
     unfolded = _distort_jacobian(*terms, d)[4]
     uv = np.stack([u, v], axis=-1) + np.multiply.outer(sigmas, noise)
-    inside = (uv >= 0.0) & (uv < (scene.image_width, scene.image_height))
-    return uv, unfolded & inside.all(axis=-1)
+    u, v = uv[..., 0], uv[..., 1]
+    inside = (u >= 0.0) & (u < scene.image_width) & (v >= 0.0) & (v < scene.image_height)
+    return uv, unfolded & inside
 
 
 def _too_few_visible(n_visible: int, scene: SyntheticScene) -> TooFewVisible:

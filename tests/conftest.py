@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from camline import DistortionCoefficients, Intrinsics, SceneConstraints
+from camline.orientation_estimator import HORIZON_EPS
 
 
 @pytest.fixture
@@ -76,6 +77,30 @@ def distort_jacobian_full(dx, dy, r2, radial, d: DistortionCoefficients) -> tupl
     j_vv = radial + slope2 * dy * dy + 2.0 * d.p1 * dx + 6.0 * d.p2 * dy
     det = j_uu * j_vv - j_uv * j_uv
     return j_uu, j_uv, j_vv, det, (radial > 0.0) & (det > 0.0)
+
+
+def plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect the rays through normalized points (..., 2) with the plane.
+
+    Each ray is ``rot @ (xn, yn, 1)``, with ``rot`` the camera-to-world
+    rotation, (3, 3) or one per observation (T, 3, 3) for points
+    (T, N, 2), scaled until its y component reaches ``c0``.  Returns
+    (..., 3) world points whose ``y`` is ``c0`` exactly, and the (...,) mask
+    of rays that miss the plane, whose ``x`` and ``z`` are NaN: those whose y
+    component is below ``HORIZON_EPS``, which run along or above the
+    horizon, and those that meet it beyond the float range, which by the
+    same rule meet it at the horizon.
+    """
+    ones = np.ones(norm.shape[:-1] + (1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rays = np.concatenate([norm, ones], axis=-1) @ rot.swapaxes(-1, -2)
+        y = rays[..., 1]
+        # Divide first: c0 * rays can overflow where the point is in range.
+        points = rays * (c0 / np.where(y < HORIZON_EPS, np.nan, y))[..., None]
+    missed = ~np.isfinite(points).all(axis=-1)
+    points[missed] = np.nan
+    points[..., 1] = c0
+    return points, missed
 
 
 def line_angle_distance(a: float, b: float) -> float:

@@ -30,9 +30,9 @@ from camline import (
 )
 from camline.cli import main
 from camline.core_geometry import _distort_uv, _normalize_uv, _project_uv, _undistort_uv
-from camline.orientation_estimator import _fit_line, _pitch, _plane_points
+from camline.orientation_estimator import _fit_line, _pitch
 
-from conftest import rotation_x, rotation_z
+from conftest import plane_points, rotation_x, rotation_z
 
 IMAGE_W, IMAGE_H = 1280, 720
 
@@ -141,7 +141,7 @@ def test_criterion_3_projection_back_projection_round_trip(default_k):
             if not (0.0 <= u < IMAGE_W and 0.0 <= v < IMAGE_H):
                 continue
             und, (failure,) = _undistort_uv(np.array([u, v]), default_k, d)
-            (x, _, z), missed = _plane_points(_normalize_uv(und, default_k), rot, c0)
+            (x, _, z), missed = plane_points(_normalize_uv(und, default_k), rot, c0)
             assert failure is None and not missed
             worst = max(worst, abs(x - w[0]), abs(z - w[2]))
             n_done += 1

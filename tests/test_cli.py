@@ -290,7 +290,7 @@ class TestProject:
     def test_output_back_projects_to_the_input_point(self, tmp_path, capsys):
         from camline import DistortionCoefficients, Intrinsics, rotation_xz
         from camline.core_geometry import _normalize_uv, _undistort_uv
-        from camline.orientation_estimator import _plane_points
+        from conftest import plane_points
 
         config = make_config(tmp_path, distortion={"k1": -1e-8})
         roll_deg, pitch_deg = 2.0, 33.0
@@ -301,7 +301,7 @@ class TestProject:
         rot = rotation_xz(math.radians(pitch_deg), math.radians(roll_deg))
         k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
         und, (failure,) = _undistort_uv(np.array([u, v]), k, DistortionCoefficients(k1=-1e-8))
-        (x, y, z), missed = _plane_points(_normalize_uv(und, k), rot, 2.0)
+        (x, y, z), missed = plane_points(_normalize_uv(und, k), rot, 2.0)
         assert failure is None and not missed
         assert x == pytest.approx(0.8, abs=1e-9)
         assert y == 2.0

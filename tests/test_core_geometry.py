@@ -373,6 +373,15 @@ class TestRotations:
         expected = rotation_x(0.2) @ rotation_z(0.1)
         assert np.max(np.abs(got - expected)) <= 1e-15
 
+    def test_rotation_xz_broadcasts_one_matrix_per_pair(self):
+        thetas = np.array([[0.4, -1.1, 2.9]])
+        lams = np.array([[0.05], [-0.3]])
+        stack = rotation_xz(thetas, lams)
+        assert stack.shape == (2, 3, 3, 3)
+        for i, lam in enumerate(lams[:, 0].tolist()):
+            for j, theta in enumerate(thetas[0].tolist()):
+                assert np.array_equal(stack[i, j], rotation_xz(theta, lam))
+
     @given(theta=angles, lam=angles)
     @settings(deadline=None)
     def test_rotation_xz_orthogonal_unit_determinant(self, theta, lam):

@@ -31,9 +31,9 @@ from camline import (
     residual_z_spread,
 )
 from camline.core_geometry import _normalize_uv
-from camline.orientation_estimator import _estimate, _fit_line, _pitch, _plane_points
+from camline.orientation_estimator import _estimate, _fit_line, _pitch
 
-from conftest import line_angle_distance, rotation_x
+from conftest import line_angle_distance, plane_points, rotation_x
 
 coords = st.floats(min_value=-0.8, max_value=0.8)
 
@@ -147,7 +147,7 @@ class TestEstimatePitch:
         (got,) = _pitch([0.25], sc)
         assert got == pytest.approx(0.3430239404207034, abs=1e-14)
         # Independent check: the central pixel back-projects to depth z0.
-        p, _ = _plane_points(np.array([0.0, 0.25]), rotation_x(got), sc.c0)
+        p, _ = plane_points(np.array([0.0, 0.25]), rotation_x(got), sc.c0)
         assert p[2] == pytest.approx(sc.z0, abs=1e-10)
 
     @given(
@@ -338,7 +338,9 @@ class TestEstimateOrientation:
         )
         est = estimate_orientation(obs, default_k, zero_d, sc)
         assert est.orientation.roll == pytest.approx(math.pi / 2, abs=1e-12)
-        assert est.residual_z_spread > 0.0
+        # Every point of the fitted line has one de-rolled height, so one depth:
+        # the spread is rounding at most.
+        assert 0.0 <= est.residual_z_spread <= 1e-12
 
     @pytest.mark.parametrize(
         "fx, c0, extent, error",
@@ -425,7 +427,7 @@ class TestResidualZSpread:
                 [0.0, 0.0, 1.0],
             ]
         )
-        z = [_plane_points(_normalize_uv(uv, default_k), rot, sc.c0)[0][2] for uv in obs.uv_array()]
+        z = [plane_points(_normalize_uv(uv, default_k), rot, sc.c0)[0][2] for uv in obs.uv_array()]
         spread, mean_depth = residual_z_spread(obs, default_k, zero_d, orientation, sc.c0)
         assert spread == pytest.approx(abs(z[0] - z[1]), abs=1e-12)
         assert mean_depth == pytest.approx((z[0] + z[1]) / 2.0, abs=1e-12)

@@ -1,4 +1,5 @@
-"""Tests for ray/plane back-projection (``_plane_points``)."""
+"""Tests for ray/plane back-projection: the 3-D oracle ``plane_points`` and the
+estimator's closed-form depths (``_depth_stats``) against it."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from camline import (
     rotation_xz,
 )
 from camline.core_geometry import _normalize_uv, _project_uv, _undistort_uv
-from camline.orientation_estimator import HORIZON_EPS, _depth_stats, _plane_points
+from camline.orientation_estimator import HORIZON_EPS, _depth_stats
 
-from conftest import rotation_x
+from conftest import plane_points, rotation_x
 
 
 def back_project(u, v, k, rot, c0, d=None):
@@ -29,7 +30,7 @@ def back_project(u, v, k, rot, c0, d=None):
     if d is not None:
         uv, (failure,) = _undistort_uv(uv, k, d)
         assert failure is None
-    return _plane_points(_normalize_uv(uv, k), rot, c0)
+    return plane_points(_normalize_uv(uv, k), rot, c0)
 
 
 class TestSceneConstraints:
@@ -44,7 +45,7 @@ class TestSceneConstraints:
 
 
 class TestInverseRay:
-    """``_plane_points`` lands on the pixel's inverse ray ``rot @ (xn, yn, 1)``."""
+    """``plane_points`` lands on the pixel's inverse ray ``rot @ (xn, yn, 1)``."""
 
     def test_identity_rotation_optical_axis(self, default_k):
         # Unrotated, the column through the principal point keeps x = 0, and a
@@ -116,13 +117,36 @@ class TestBackProjectToPlane:
     def test_one_mask_at_the_horizon(self, y, xn):
         # Unrotated, a ray's y component is its yn exactly.  A ray at the
         # boundary is missed on its own, beside a ray that meets the plane.
-        points, missed = _plane_points(np.array([[xn, y], [0.0, 0.5]]), np.eye(3), 2.0)
+        points, missed = plane_points(np.array([[xn, y], [0.0, 0.5]]), np.eye(3), 2.0)
         assert missed.tolist() == [y < HORIZON_EPS, False]
         assert points[1].tolist() == [0.0, 2.0, 4.0]
         if y < HORIZON_EPS:
             assert np.isnan(points[0, [0, 2]]).all()
         else:
             assert points[0, 1] == 2.0
+
+    @given(
+        y=st.floats(min_value=-4 * HORIZON_EPS, max_value=4 * HORIZON_EPS),
+        xn=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @example(y=-HORIZON_EPS / 2, xn=0.0)
+    @example(y=0.0, xn=0.0)
+    @example(y=HORIZON_EPS / 2, xn=0.0)
+    @example(y=HORIZON_EPS, xn=0.0)
+    @example(y=2 * HORIZON_EPS, xn=0.0)
+    @settings(deadline=None)
+    def test_closed_form_has_one_mask_at_the_horizon(self, y, xn):
+        # At zero roll and pitch the ray descends by yn exactly.  Observation 0
+        # holds the ray at the boundary, observation 1 one that meets the plane.
+        norm = np.array([[[xn, y]], [[0.0, 0.5]]])
+        failures = [None, None]
+        _, means = _depth_stats(norm, np.ones((2, 1), bool), [0.0, 0.0], [0.0, 0.0], 2.0, failures)
+        assert isinstance(failures[0], NoHorizonIntersection) == (y < HORIZON_EPS)
+        assert failures[1] is None and means[1] == 4.0
+        if y < HORIZON_EPS:
+            assert math.isnan(means[0])
+        else:
+            assert means[0] == 2.0 / y
 
     def test_a_missed_ray_fails_its_own_observation(self):
         # Unrotated camera: observation 0 has one level ray (yn = 0), which
@@ -151,6 +175,54 @@ class TestBackProjectToPlane:
         if ray[1] < 1e-6:
             return  # too close to the horizon to be a meaningful sample
         assert back_project(u, v, k, rotation_x(theta), c0)[0][1] == c0
+
+
+class TestClosedFormDepth:
+    """``_depth_stats`` takes each depth from the de-rolled height alone; the
+    oracle ``plane_points`` rotates the full ray ``rot @ (xn, yn, 1)``."""
+
+    @given(
+        roll=st.floats(min_value=-1.2, max_value=1.2),
+        pitch=st.floats(min_value=-math.pi / 2, max_value=math.pi,
+                        exclude_min=True, exclude_max=True),
+        xn=st.floats(min_value=-2.0, max_value=2.0),
+        yn=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    @example(roll=0.0, pitch=0.0, xn=0.3, yn=HORIZON_EPS)
+    @example(roll=0.0, pitch=0.0, xn=0.3, yn=HORIZON_EPS * (1 - 2**-52))
+    @settings(deadline=None)
+    def test_matches_the_rotated_ray(self, roll, pitch, xn, yn):
+        c0 = 2.0
+        rot = rotation_xz(pitch, roll)
+        point, missed = plane_points(np.array([xn, yn]), rot, c0)
+        failures = [None]
+        _, (depth,) = _depth_stats(np.array([[[xn, yn]]]), np.ones((1, 1), bool), [roll], [pitch],
+                                   c0, failures)
+        down = (rot @ [xn, yn, 1.0])[1]
+        # At zero roll and pitch both descend by yn exactly, so they agree at
+        # the boundary too.  Otherwise they sum the descent in different
+        # orders and may round to different sides of it only right next to it.
+        if roll == pitch == 0.0 or abs(down - HORIZON_EPS) > 1e-15:
+            assert isinstance(failures[0], NoHorizonIntersection) == missed
+        if missed or failures[0] is not None:
+            return
+        # Each side rounds the ray's descent and forward run, both of size up
+        # to 1 + |y'|, by a few ulps; depth = c0 * forward / down carries that
+        # error into the bound below, so it holds near the horizon and near
+        # depth 0, where a purely relative bound does not.
+        height = math.cos(roll) * yn - math.sin(roll) * xn
+        bound = 1e-15 * (1.0 + abs(height)) * (c0 + abs(point[2])) / down
+        assert abs(depth - point[2]) <= bound
+
+    def test_divides_first_near_the_float_range(self):
+        # Camera pitched up, point far down the image: c0 times the forward
+        # run (4.8e309) overflows, but the depth is about 0.55 * c0.
+        failures = [None]
+        _, (depth,) = _depth_stats(np.array([[[0.0, 1e10]]]), np.ones((1, 1), bool), [0.0],
+                                   [-0.5], 1e300, failures)
+        point, missed = plane_points(np.array([0.0, 1e10]), rotation_xz(-0.5, 0.0), 1e300)
+        assert failures == [None] and not missed
+        assert depth == pytest.approx(point[2], rel=1e-12)
 
 
 class TestUndistortThenBackProject:

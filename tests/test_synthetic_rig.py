@@ -24,7 +24,9 @@ from camline import (
     write_sweep_csv,
 )
 from camline.core_geometry import _normalize_uv, _undistort_uv
-from camline.orientation_estimator import _plane_points
+from camline.synthetic_rig import _observe
+
+from conftest import plane_points
 
 
 @pytest.fixture
@@ -138,10 +140,23 @@ class TestRenderLine:
         xs = np.linspace(-1.0, 1.0, 21)
         for x_true, uv in zip(xs, obs.uv_array()):
             und, (failure,) = _undistort_uv(uv, k, d)
-            (x, _, z), missed = _plane_points(_normalize_uv(und, k), rot, sc.c0)
+            (x, _, z), missed = plane_points(_normalize_uv(und, k), rot, sc.c0)
             assert failure is None and not missed
             assert x == pytest.approx(x_true, abs=1e-6)
             assert z == pytest.approx(sc.z0, abs=1e-6)
+
+    def test_visible_image_is_half_open(self, base_scene):
+        # With no lens and no noise a pixel is observed where it is rendered:
+        # the first row and column are inside, the edge at w or h and anything
+        # before 0 or NaN are not.
+        w, h = base_scene.image_width, base_scene.image_height
+        kept = [(0.0, 0.0), (0.0, h - 1e-9), (w - 1e-9, 0.0), (w / 2, h / 2)]
+        dropped = [(w, 0.0), (0.0, h), (-1e-9, 0.0), (0.0, -1e-9), (math.nan, 0.0), (0.0, math.nan)]
+        ideal = np.array([kept + dropped])
+        uv, visible = _observe(base_scene, ideal, DistortionCoefficients(),
+                               np.zeros(ideal.shape), np.array([0.0]))
+        assert visible.tolist() == [[[True] * len(kept) + [False] * len(dropped)]]
+        assert uv[0, 0, :len(kept)].tolist() == [list(p) for p in kept]
 
     def test_points_past_the_fold_are_dropped(self, default_k, sc):
         # At this pose 4 of the 101 points have an ideal radius beyond the
