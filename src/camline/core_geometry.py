@@ -184,7 +184,10 @@ def _distort_components(
 
     Returns ``(u', v', dx, dy, r2, radial)``: the distorted components, the
     offsets from the principal point, their squared radius and the radial
-    factor ``1 + k1*r^2 + k2*r^4 + k3*r^6``.
+    factor ``1 + k1*r^2 + k2*r^4 + k3*r^6``.  Each is a new array; ``u`` and
+    ``v``, arrays of one or more dimensions, are only read.  The terms are
+    built in place, in the order and grouping of the formula in
+    :func:`_distort_uv`.
 
     The ``k2``, ``k3``, ``p1`` and ``p2`` terms are left out when their
     coefficient is zero.  Such a term is a signed zero wherever it is
@@ -193,20 +196,42 @@ def _distort_components(
     """
     dx = u - k.cx
     dy = v - k.cy
-    r2 = dx * dx + dy * dy
-    radial = 1.0 + d.k1 * r2
+    r2 = dx * dx
+    term = dy * dy
+    r2 += term
+    radial = d.k1 * r2
+    radial += 1.0
     if d.k2:
-        radial += d.k2 * r2 * r2
+        np.multiply(r2, d.k2, out=term)
+        term *= r2
+        radial += term
     if d.k3:
-        radial += d.k3 * r2 * r2 * r2
-    u_d = k.cx + dx * radial
-    v_d = k.cy + dy * radial
+        np.multiply(r2, d.k3, out=term)
+        term *= r2
+        term *= r2
+        radial += term
+    u_d = dx * radial
+    u_d += k.cx
+    v_d = dy * radial
+    v_d += k.cy
     if d.p1:
-        u_d += d.p1 * (r2 + 2.0 * dx * dx)
-        v_d += 2.0 * d.p1 * dx * dy
+        np.multiply(dx, 2.0, out=term)
+        term *= dx
+        term += r2
+        term *= d.p1
+        u_d += term
+        np.multiply(dx, 2.0 * d.p1, out=term)
+        term *= dy
+        v_d += term
     if d.p2:
-        u_d += 2.0 * d.p2 * dx * dy
-        v_d += d.p2 * (r2 + 2.0 * dy * dy)
+        np.multiply(dx, 2.0 * d.p2, out=term)
+        term *= dy
+        u_d += term
+        np.multiply(dy, 2.0, out=term)
+        term *= dy
+        term += r2
+        term *= d.p2
+        v_d += term
     return u_d, v_d, dx, dy, r2, radial
 
 
@@ -215,28 +240,38 @@ def _distort_jacobian(
 ) -> tuple[np.ndarray, ...]:
     """Jacobian of the distortion map from the terms :func:`_distort_components` returns.
 
-    Returns ``(j_uu, j_uv, j_vv, det, unfolded)``: the symmetric Jacobian, its
-    determinant, and where the radial factor and ``det`` are both positive,
-    which marks the branch of the map that holds the principal point.  Terms
-    with a zero coefficient are left out, as in :func:`_distort_components`.
+    Returns ``(j_uu, j_uv, j_vv, det)``: the symmetric Jacobian and its
+    determinant, each a new array; the inputs are only read.  Where the
+    radial factor and ``det`` are both positive lies the branch of the map
+    that holds the principal point.  Terms with a zero coefficient are left
+    out, as in :func:`_distort_components`.
     """
     # d(radial)/d(dx) = slope2 * dx, and likewise for dy.
     slope2 = 2.0 * d.k1
     if d.k2 or d.k3:
-        slope2 = slope2 + r2 * (4.0 * d.k2 + 6.0 * d.k3 * r2)
-    j_uu = radial + slope2 * dx * dx
-    j_uv = slope2 * dx * dy
-    j_vv = radial + slope2 * dy * dy
+        slope2 = r2 * (6.0 * d.k3)
+        slope2 += 4.0 * d.k2
+        slope2 *= r2
+        slope2 += 2.0 * d.k1
+    j_uv = slope2 * dx
+    j_uu = j_uv * dx
+    j_uu += radial
+    j_uv *= dy
+    j_vv = slope2 * dy
+    j_vv *= dy
+    j_vv += radial
+    term = np.empty_like(j_uu)
     if d.p1:
-        j_uu += 6.0 * d.p1 * dx
-        j_uv += 2.0 * d.p1 * dy
-        j_vv += 2.0 * d.p1 * dx
+        j_uu += np.multiply(dx, 6.0 * d.p1, out=term)
+        j_uv += np.multiply(dy, 2.0 * d.p1, out=term)
+        j_vv += np.multiply(dx, 2.0 * d.p1, out=term)
     if d.p2:
-        j_uu += 2.0 * d.p2 * dy
-        j_uv += 2.0 * d.p2 * dx
-        j_vv += 6.0 * d.p2 * dy
-    det = j_uu * j_vv - j_uv * j_uv
-    return j_uu, j_uv, j_vv, det, (radial > 0.0) & (det > 0.0)
+        j_uu += np.multiply(dy, 2.0 * d.p2, out=term)
+        j_uv += np.multiply(dx, 2.0 * d.p2, out=term)
+        j_vv += np.multiply(dy, 6.0 * d.p2, out=term)
+    det = j_uu * j_vv
+    det -= np.multiply(j_uv, j_uv, out=term)
+    return j_uu, j_uv, j_vv, det
 
 
 def _distort_uv(uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients) -> np.ndarray:
@@ -251,8 +286,10 @@ def _distort_uv(uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients) -> np.
     with ``r^2 = (u-cx)^2 + (v-cy)^2`` in pixel units.  Zero coefficients make
     this the identity; the principal point is always a fixed point.
     """
-    u, v, *_ = _distort_components(uv[..., 0], uv[..., 1], k, d)
-    return np.stack([u, v], axis=-1)
+    # The kernel works in place, which needs arrays: a (2,) pixel becomes (1, 2).
+    flat = uv.reshape(-1, 2)
+    u, v, *_ = _distort_components(flat[:, 0], flat[:, 1], k, d)
+    return np.stack([u, v], axis=-1).reshape(uv.shape)
 
 
 def _undistort_uv(
@@ -280,7 +317,10 @@ def _undistort_uv(
     the ``k2``, ``k3``, ``p1`` and ``p2`` terms whose coefficient is zero
     (see :func:`_distort_components`).  The worst norm is taken as the
     square root of the largest ``e_u^2 + e_v^2``, so a residual whose square
-    overflows (beyond about 1.3e154 px) counts as diverged.
+    overflows (beyond about 1.3e154 px) counts as diverged.  Each round
+    forms the residual in the map's output arrays and the step in the
+    Jacobian's, in place and in the order of the formulas above; ``uv`` is
+    only read, and the pixels returned share no memory with it.
 
     With no lens the map is the identity, so the pixels come back as given
     with no Newton round, whatever ``max_iter``.  Only an observation with a
@@ -290,7 +330,8 @@ def _undistort_uv(
 
     Newton converges to whichever preimage it meets, so a solution is
     accepted only on the branch that contains the principal point: the
-    radial factor and ``det J`` must both be positive there.
+    radial factor and ``det J`` must both be positive there.  This fold test
+    runs only on rounds where some observation stops.
 
     An observation fails with :class:`NonConvergent` when its iteration
     diverged, did not reach that tolerance within ``max_iter`` rounds, or found a
@@ -319,15 +360,19 @@ def _undistort_uv(
     # information.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
-            u_d, v_d, dx, dy, r2, radial = _distort_components(u, v, k, d)
-            e_u, e_v = u_d - t_u, v_d - t_v
-            worst = np.sqrt((e_u * e_u + e_v * e_v).max(axis=-1)).tolist()
+            e_u, e_v, dx, dy, r2, radial = _distort_components(u, v, k, d)
+            e_u -= t_u
+            e_v -= t_v
+            j_uu, j_uv, j_vv, det = _distort_jacobian(dx, dy, r2, radial, d)
+            # dx and dy are spent; they hold the squared residual norms.
+            norm2 = np.multiply(e_u, e_u, out=dx)
+            norm2 += np.multiply(e_v, e_v, out=dy)
+            worst = np.sqrt(norm2.max(axis=-1)).tolist()
             # A NaN or infinite residual stops its observation too: it diverged.
             going = [UNDISTORT_TOL_PX < w < math.inf for w in worst]
-            j_uu, j_uv, j_vv, det, unfolded = _distort_jacobian(dx, dy, r2, radial, d)
             if not all(going):
                 good = []
-                on_branch = unfolded.all(axis=-1).tolist()
+                on_branch = ((radial > 0.0) & (det > 0.0)).all(axis=-1).tolist()
                 for pos, (i, w, go) in enumerate(zip(index.tolist(), worst, going)):
                     if go:
                         continue
@@ -346,11 +391,23 @@ def _undistort_uv(
                     out[index[rows]] = np.stack([u[rows], v[rows]], axis=-1)
                 if not any(going):
                     return out.reshape(target.shape), failures
+                # One mask array: numpy converts a list again for every index.
+                keep = np.array(going)
                 index, u, v, t_u, t_v, e_u, e_v, j_uu, j_uv, j_vv, det = (
-                    a[going] for a in (index, u, v, t_u, t_v, e_u, e_v, j_uu, j_uv, j_vv, det)
+                    a[keep] for a in (index, u, v, t_u, t_v, e_u, e_v, j_uu, j_uv, j_vv, det)
                 )
-            u = u - (j_vv * e_u - j_uv * e_v) / det
-            v = v - (j_uu * e_v - j_uv * e_u) / det
+            # u <- u - (j_vv*e_u - j_uv*e_v)/det and v <- v - (j_uu*e_v - j_uv*e_u)/det,
+            # the products formed in the residual's arrays, the steps in the Jacobian's.
+            j_vv *= e_u
+            j_uu *= e_v
+            e_u *= j_uv
+            e_v *= j_uv
+            j_vv -= e_v
+            j_uu -= e_u
+            j_vv /= det
+            j_uu /= det
+            u = np.subtract(u, j_vv, out=j_vv)
+            v = np.subtract(v, j_uu, out=j_uu)
     for i in index.tolist():
         failures[i] = NonConvergent(
             f"undistortion did not reach tol={UNDISTORT_TOL_PX} px within {max_iter} iterations"

@@ -41,6 +41,20 @@ __all__ = [
 ]
 
 
+# The number types a scene or sweep field accepts, floats first.  Concrete
+# types: a sweep's configs check thousands of values, and an isinstance check
+# against numbers.Real costs about ten times as much.
+_REAL_TYPES = (float, int, np.floating, np.integer)
+
+
+def _require_real(name: str, *values: object) -> None:
+    """Raise ``ValueError`` naming ``name`` unless every value is an int or
+    float (Python or numpy), not a bool."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _require_int(name: str, value: object, least: int) -> None:
     """Raise ``ValueError`` unless ``value`` is an int, not a bool, and >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -71,6 +85,8 @@ class SyntheticScene:
     def __post_init__(self) -> None:
         _require_int("n_points", self.n_points, 2)
         _require_int("rng_seed", self.rng_seed, 0)
+        _require_real("line_x_extent", self.line_x_extent)
+        _require_real("noise_sigma", self.noise_sigma)
         if not math.isfinite(self.line_x_extent) or self.line_x_extent <= 0.0:
             raise ValueError(f"line_x_extent must be > 0, got {self.line_x_extent}")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
@@ -129,8 +145,9 @@ def _observe(
     [0, image_height)`` image whose ideal pixel is on the unfolded branch of
     the lens map (past the fold, undistortion finds a different point).
     """
-    u, v, *terms = _distort_components(ideal[..., 0], ideal[..., 1], scene.k, d)
-    unfolded = _distort_jacobian(*terms, d)[4]
+    u, v, dx, dy, r2, radial = _distort_components(ideal[..., 0], ideal[..., 1], scene.k, d)
+    *_, det = _distort_jacobian(dx, dy, r2, radial, d)
+    unfolded = (radial > 0.0) & (det > 0.0)
     uv = np.stack([u, v], axis=-1) + np.multiply.outer(sigmas, noise)
     u, v = uv[..., 0], uv[..., 1]
     inside = (u >= 0.0) & (u < scene.image_width) & (v >= 0.0) & (v < scene.image_height)
@@ -189,9 +206,11 @@ class SweepConfig:
     k1_scales: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
+        _require_real("noise_sigmas", *self.noise_sigmas)
         for sigma in self.noise_sigmas:
             if not math.isfinite(sigma) or sigma < 0.0:
                 raise ValueError(f"noise_sigmas must be finite and >= 0, got {sigma!r}")
+        _require_real("k1_scales", *self.k1_scales)
         for scale in self.k1_scales:
             if not math.isfinite(scale):
                 raise ValueError(f"k1_scales must be finite, got {scale!r}")
@@ -199,6 +218,7 @@ class SweepConfig:
         _require_int("base_seed", self.base_seed, 0)
         for name in ("roll_range", "pitch_range"):
             span = tuple(getattr(self, name))
+            _require_real(name, *span)
             if not (len(span) == 2 and all(map(math.isfinite, span)) and span[0] <= span[1]):
                 raise ValueError(f"{name} must be finite (lo, hi) with lo <= hi, got {span!r}")
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from camline import DistortionCoefficients, Intrinsics, SceneConstraints
+from camline import DistortionCoefficients, Intrinsics, NonConvergent, SceneConstraints
+from camline.core_geometry import UNDISTORT_TOL_PX
 from camline.orientation_estimator import HORIZON_EPS
 
 
@@ -77,6 +78,61 @@ def distort_jacobian_full(dx, dy, r2, radial, d: DistortionCoefficients) -> tupl
     j_vv = radial + slope2 * dy * dy + 2.0 * d.p1 * dx + 6.0 * d.p2 * dy
     det = j_uu * j_vv - j_uv * j_uv
     return j_uu, j_uv, j_vv, det, (radial > 0.0) & (det > 0.0)
+
+
+def undistort_reference(uv, k: Intrinsics, d: DistortionCoefficients, max_iter: int = 50):
+    """Newton undistortion with a new array per expression, the ``_undistort_uv`` oracle.
+
+    Takes ``(T, N, 2)`` observations and a lens with some non-zero
+    coefficient, and returns the pixels and per-observation failures that
+    ``_undistort_uv`` must reproduce bit for bit.  Each round forms the
+    residual through the full five-term map, stops the observations whose
+    worst residual norm is within ``UNDISTORT_TOL_PX`` (or not finite), and
+    steps the others by ``q - J^-1 residual``.  Where the map is finite the
+    full map differs from the kernels' only in the sign of a zero result,
+    which changes no step unless a determinant is exactly zero; where it is
+    not, the observation stops as diverged either way.
+    """
+    obs = np.asarray(uv, dtype=float)
+    out = obs.copy()
+    failures = [None] * len(obs)
+    index = np.arange(len(obs))
+    t_u, t_v = obs[..., 0].copy(), obs[..., 1].copy()
+    u, v = t_u, t_v
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            u_d, v_d, dx, dy, r2, radial = distort_components_full(u, v, k, d)
+            e_u, e_v = u_d - t_u, v_d - t_v
+            worst = np.sqrt((e_u * e_u + e_v * e_v).max(axis=-1)).tolist()
+            going = [UNDISTORT_TOL_PX < w < math.inf for w in worst]
+            j_uu, j_uv, j_vv, det, unfolded = distort_jacobian_full(dx, dy, r2, radial, d)
+            on_branch = unfolded.all(axis=-1).tolist()
+            for pos, (i, w, go) in enumerate(zip(index.tolist(), worst, going)):
+                if go:
+                    continue
+                if not w <= UNDISTORT_TOL_PX:
+                    failures[i] = NonConvergent(
+                        "undistortion diverged; pixel outside the invertible lens region"
+                    )
+                elif not on_branch[pos]:
+                    failures[i] = NonConvergent(
+                        "undistortion reached a folded branch of the lens map; "
+                        "pixel outside the invertible lens region"
+                    )
+                else:
+                    out[i] = np.stack([u[pos], v[pos]], axis=-1)
+            if not any(going):
+                return out, failures
+            index, u, v, t_u, t_v, e_u, e_v, j_uu, j_uv, j_vv, det = (
+                a[going] for a in (index, u, v, t_u, t_v, e_u, e_v, j_uu, j_uv, j_vv, det)
+            )
+            u = u - (j_vv * e_u - j_uv * e_v) / det
+            v = v - (j_uu * e_v - j_uv * e_u) / det
+    for i in index.tolist():
+        failures[i] = NonConvergent(
+            f"undistortion did not reach tol={UNDISTORT_TOL_PX} px within {max_iter} iterations"
+        )
+    return out, failures
 
 
 def plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray]:

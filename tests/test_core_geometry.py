@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -16,7 +17,10 @@ from camline import (
     DistortionCoefficients,
     Intrinsics,
     NonConvergent,
+    Orientation,
     PixelPoint,
+    SceneConstraints,
+    SyntheticScene,
     rotation_xz,
     undistort,
 )
@@ -30,6 +34,7 @@ from camline.core_geometry import (
     _project_uv,
     _undistort_uv,
 )
+from camline.synthetic_rig import _line_pixels, _observe
 
 from conftest import (
     axis_angle_matrix,
@@ -37,6 +42,7 @@ from conftest import (
     distort_jacobian_full,
     rotation_x,
     rotation_z,
+    undistort_reference,
 )
 
 angles = st.floats(min_value=-1.5, max_value=1.5)
@@ -190,7 +196,10 @@ class TestDistort:
             got = _distort_components(u, v, k, d)
             want = distort_components_full(u, v, k, d)
             got += _distort_jacobian(*got[2:], d)
+            # The fold mask, as _undistort_uv and the rig form it.
+            got += ((got[5] > 0.0) & (got[9] > 0.0),)
             want += distort_jacobian_full(*want[2:], d)
+            assert len(got) == len(want) == 11
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
@@ -297,7 +306,8 @@ class TestUndistort:
             phi = rng.uniform(0.0, 2.0 * math.pi, size=384)
             dx, dy = r * np.cos(phi) * segment, r * np.sin(phi) * segment
             *_, radial = _distort_components(k.cx + dx, k.cy + dy, k, d)
-            *_, unfolded = _distort_jacobian(dx, dy, dx * dx + dy * dy, radial, d)
+            *_, det = _distort_jacobian(dx, dy, dx * dx + dy * dy, radial, d)
+            unfolded = (radial > 0.0) & (det > 0.0)
             ideal = np.stack([k.cx + dx[-1], k.cy + dy[-1]], axis=-1)[unfolded.all(axis=0)]
             target = _distort_uv(ideal, k, d)
             u, v = target[:, 0], target[:, 1]
@@ -340,6 +350,77 @@ class TestUndistort:
             assert failure is None
             assert np.array_equal(und[i], alone)
             assert not np.array_equal(und[i], batch[i])
+
+    @pytest.mark.parametrize("k1_scale", [0.0, 1.0, 3.0, 4.0])
+    def test_in_place_rounds_match_the_allocating_loop_on_sweep_batches(self, default_k, k1_scale):
+        # Batches as a sweep builds them: 20 poses, three noise levels, the
+        # mild lens with its k1 scaled, every pixel undistorted, visible or not.
+        rng = np.random.default_rng(int(k1_scale))
+        scene = SyntheticScene(Orientation(), SceneConstraints(c0=2.0, z0=3.0), default_k)
+        poses = [
+            Orientation(roll=rng.uniform(-0.1, 0.1), pitch=rng.uniform(0.4, 0.8))
+            for _ in range(20)
+        ]
+        ideal = _line_pixels(scene, poses)
+        d = DistortionCoefficients(k1=-1e-7 * k1_scale, p1=1e-6)
+        uv, _ = _observe(
+            scene, ideal, d, rng.standard_normal(ideal.shape), np.array([0.0, 0.5, 1.0])
+        )
+        batch = uv.reshape(-1, scene.n_points, 2)
+        und, failures = _undistort_uv(batch, default_k, d)
+        want, want_failures = undistort_reference(batch, default_k, d)
+        assert und.tobytes() == want.tobytes()
+        assert repr(failures) == repr(want_failures)
+
+    def test_in_place_rounds_match_the_allocating_loop_on_random_lenses(self, default_k):
+        # Random lenses, each coefficient zero with probability 0.3, on
+        # pixels in and around the image and one observation up to 1e60
+        # times as far out, with too few rounds as well as enough.
+        # Observations converge, diverge, reach a folded branch or run out of
+        # rounds, and must do so bit for bit as the allocating loop does.
+        rng = np.random.default_rng(11)
+        kinds = {"diverged": 0, "reached": 0, "did": 0}
+        for _ in range(200):
+            keep = rng.uniform(size=5) < 0.7
+            coefficients = rng.uniform(-1.0, 1.0, size=5) * [1e-6, 3e-12, 1e-17, 4e-6, 4e-6]
+            if not keep.any():
+                continue
+            d = DistortionCoefficients(*(coefficients * keep))
+            batch = rng.uniform([-300.0, -300.0], [1580.0, 1020.0], size=(4, 3, 2))
+            centre = [default_k.cx, default_k.cy]
+            batch[3] = centre + (batch[3] - centre) * 10.0 ** rng.uniform(0.0, 60.0)
+            for max_iter in (1, 2, 5, 50):
+                und, failures = _undistort_uv(batch, default_k, d, max_iter=max_iter)
+                want, want_failures = undistort_reference(batch, default_k, d, max_iter=max_iter)
+                assert und.tobytes() == want.tobytes()
+                assert repr(failures) == repr(want_failures)
+                for failure in filter(None, failures):
+                    kinds[str(failure).split()[1].rstrip(";")] += 1
+        assert min(kinds.values()) > 50
+
+    def test_lens_kernels_leave_their_input_alone(self, default_k):
+        # Every coefficient is non-zero, so every term is built, and one
+        # observation fails.  Inputs are only read, and no output is a view
+        # of them.
+        d = DistortionCoefficients(k1=-3e-7, k2=1e-13, k3=-1e-19, p1=1e-6, p2=-1e-6)
+        batch = np.random.default_rng(3).uniform([0.0, 0.0], [1280.0, 720.0], size=(6, 5, 2))
+        batch[0, 0] = [5000.0, 5000.0]
+        pixel = batch[1, 1].copy()
+        before, pixel_before = batch.tobytes(), pixel.tobytes()
+        und, failures = _undistort_uv(batch, default_k, d)
+        assert failures[0] is not None and None in failures
+        components = _distort_components(batch[..., 0], batch[..., 1], default_k, d)
+        terms_before = [a.tobytes() for a in components[2:]]
+        jacobian = _distort_jacobian(*components[2:], d)
+        outputs = [und, _distort_uv(batch, default_k, d), *components, *jacobian]
+        outputs += [_undistort_uv(pixel, default_k, d)[0], _distort_uv(pixel, default_k, d)]
+        assert batch.tobytes() == before and pixel.tobytes() == pixel_before
+        assert [a.tobytes() for a in components[2:]] == terms_before
+        for out in outputs:
+            assert not np.shares_memory(out, batch)
+            assert not np.shares_memory(out, pixel)
+        for a, b in itertools.combinations(components + jacobian, 2):
+            assert not np.shares_memory(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,40 @@ class TestWholeDomain:
         assert n_rendered > 0
 
 
+class TestSymmetries:
+    @given(
+        roll=st.floats(min_value=-0.1, max_value=0.1),
+        pitch=st.floats(min_value=0.4, max_value=0.8),
+        k1=st.floats(min_value=-3e-7, max_value=3e-7),
+        k2=st.floats(min_value=-1e-13, max_value=1e-13),
+        p1=st.floats(min_value=-1e-6, max_value=1e-6),
+        p2=st.floats(min_value=-1e-6, max_value=1e-6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_mirrored_pixels_give_the_opposite_roll(self, roll, pitch, k1, k2, p1, p2, seed):
+        # Mirroring the image about the principal column (u -> 2cx - u) and
+        # flipping p1 maps the Brown-Conrady map onto itself, so the mirrored
+        # line is the same line seen with the opposite roll: roll -> -roll,
+        # pitch unchanged.  Only the mirror's own rounding may differ.
+        k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
+        sc = SceneConstraints(c0=2.0, z0=3.0)
+        d = DistortionCoefficients(k1=k1, k2=k2, p1=p1, p2=p2)
+        obs = render_line(_scene(roll, pitch, k, d, sc, noise_sigma=0.5, rng_seed=seed))
+        mirrored = obs.uv_array()
+        mirrored[:, 0] = 2.0 * k.cx - mirrored[:, 0]
+        mirrored_obs = ReferenceLineObservation.from_array(mirrored)
+        try:
+            est = estimate_orientation(obs, k, d, sc).orientation
+        except GeometryError as exc:
+            with pytest.raises(type(exc)):
+                estimate_orientation(mirrored_obs, k, replace(d, p1=-p1), sc)
+            return
+        mirror = estimate_orientation(mirrored_obs, k, replace(d, p1=-p1), sc).orientation
+        assert abs(mirror.roll + est.roll) <= 1e-15
+        assert abs(mirror.pitch - est.pitch) <= 1e-15
+
+
 class TestOracleEquivalence:
     def test_random_scenes_recover_ground_truth(self, default_k, zero_d):
         # Randomized miniature of the acceptance sweep: every visible scene

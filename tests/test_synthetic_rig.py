@@ -71,6 +71,12 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match=field):
             SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, **{field: value})
 
+    @pytest.mark.parametrize("field", ["line_x_extent", "noise_sigma"])
+    @pytest.mark.parametrize("value", ["3", None, True, np.True_])
+    def test_lengths_must_be_real_numbers(self, default_k, sc, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+            SyntheticScene(ground_truth=Orientation(), sc=sc, k=default_k, **{field: value})
+
     def test_line_behind_camera_rejected_by_constraints(self):
         with pytest.raises(ValueError, match="z0"):
             SceneConstraints(c0=2.0, z0=-3.0)
@@ -223,6 +229,12 @@ class TestSweep:
         # The config rejects the value when it is built, before any trial runs.
         with pytest.raises(ValueError, match=field.split("_")[0]):
             sweep(self._config(base_scene, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["noise_sigmas", "k1_scales", "roll_range", "pitch_range"])
+    @pytest.mark.parametrize("value", ["0.5", None, False])
+    def test_axis_values_must_be_real_numbers(self, base_scene, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+            self._config(base_scene, **{field: (0.5, value)})
 
     def test_empty_grid(self, base_scene):
         assert sweep(self._config(base_scene, noise_sigmas=())) == []
