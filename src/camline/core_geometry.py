@@ -133,9 +133,14 @@ class PixelPoint:
     v: float
 
     def __init__(self, u: float, v: float) -> None:
-        # Each field is set once: observations build one point per pixel.
-        object.__setattr__(self, "u", _require_finite("u", u))
-        object.__setattr__(self, "v", _require_finite("v", v))
+        _set_pixel(self, _require_finite("u", u), _require_finite("v", v))
+
+
+def _set_pixel(p: PixelPoint, u: float, v: float) -> PixelPoint:
+    """Set each field of ``p`` once, to floats the caller checked are finite; return ``p``."""
+    object.__setattr__(p, "u", u)
+    object.__setattr__(p, "v", v)
+    return p
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,10 @@ def _undistort_uv(
     with no Newton round, whatever ``max_iter``.  Only an observation with a
     pixel where ``r^2 + 2*dx^2`` or ``r^2 + 2*dy^2`` overflows (from 7.7e153
     to 1.3e154 px from the principal point, by direction) fails, as
-    diverged: the tangential terms of the map are not finite there.
+    diverged: the tangential terms of the map are not finite there.  One
+    bound is tested first: when every offset from the principal point is
+    within 1e150 px, neither can overflow and every observation converges;
+    only a batch that fails it (a NaN does) tests each pixel.
 
     Newton converges to whichever preimage it meets, so a solution is
     accepted only on the branch that contains the principal point: the
@@ -339,13 +347,22 @@ def _undistort_uv(
     invertible region.
     """
     target = np.asarray(uv, dtype=float)
-    obs = target.reshape((-1,) + target.shape[-2:]) if target.ndim > 1 else target.reshape(1, 1, 2)
+    if target.ndim > 1:
+        # The count, not -1: numpy cannot infer it for observations of no pixel.
+        obs = target.reshape((math.prod(target.shape[:-2]),) + target.shape[-2:])
+    else:
+        obs = target.reshape(1, 1, 2)
     out = obs.copy()
     if not any((d.k1, d.k2, d.k3, d.p1, d.p2)):
         # The identity.  A pixel where r^2 + 2*dx^2 or r^2 + 2*dy^2 overflows
         # still fails as diverged: the tangential terms are not finite there.
+        # Offsets within 1e150 px keep both below 3e300, so only a batch with
+        # a larger offset, or a NaN, which fails the bound, tests each pixel.
         with np.errstate(over="ignore", invalid="ignore"):
-            dx, dy = out[..., 0] - k.cx, out[..., 1] - k.cy
+            offsets = out - (k.cx, k.cy)
+            if np.abs(offsets).max(initial=0.0) <= 1e150:
+                return out.reshape(target.shape), [None] * len(obs)
+            dx, dy = offsets[..., 0], offsets[..., 1]
             r2 = dx * dx + dy * dy
             finite = np.isfinite(r2 + 2.0 * dx * dx) & np.isfinite(r2 + 2.0 * dy * dy)
         ok = finite.all(axis=-1).tolist()

@@ -33,6 +33,8 @@ from .core_geometry import (
     PixelPoint,
     SceneConstraints,
     _normalize_uv,
+    _require_finite,
+    _set_pixel,
     _undistort_uv,
 )
 from .errors import DegenerateLine, NoHorizonIntersection
@@ -70,16 +72,23 @@ class ReferenceLineObservation:
         """Build from an (N, 2) array-like of (u, v) pixel coordinates.
 
         The pixels hold exactly the doubles of ``np.asarray(uv, dtype=float)``.
+        The array is checked once, as a whole, and each point is then made
+        from one ``tolist()``'s floats without checking them again.
 
         Raises:
-            ValueError: ``uv`` is not (N, 2), N < 2, or a value is not
-                finite (the message names ``u`` or ``v``).
+            ValueError: ``uv`` is not (N, 2), a value is not finite (the
+                message names ``u`` or ``v`` of the first one in row order,
+                as :class:`PixelPoint` does), or N < 2, checked in that order.
         """
         arr = np.asarray(uv, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"expected an (N, 2) array of pixels, got shape {arr.shape}")
-        # One tolist() gives Python floats: no per-row views or numpy scalars.
-        return cls(tuple(PixelPoint(u, v) for u, v in arr.tolist()))
+        finite = np.isfinite(arr)
+        if not finite.all():
+            row, column = divmod(int(finite.argmin()), 2)
+            _require_finite("uv"[column], arr[row, column])  # raises, as PixelPoint would
+        new = object.__new__
+        return cls(tuple([_set_pixel(new(PixelPoint), u, v) for u, v in arr.tolist()]))
 
     def uv_array(self) -> np.ndarray:
         """(N, 2) array of the observed pixel coordinates."""
@@ -247,34 +256,37 @@ def _depth_stats(
     it descends by less than ``HORIZON_EPS`` (along or above the horizon) or
     meets it beyond the float range.  Records :class:`NoHorizonIntersection`
     for an observation with a visible point that misses; its numbers are
-    then NaN.
+    then NaN.  A miss shows in the observation's largest or smallest depth,
+    as NaN reaches both, +inf the largest and -inf the smallest, so the
+    per-point mask and count are built only for an observation that
+    missed.  A spread of two finite depths may still overflow to +inf.
     """
-    # (T, 1) columns: one cosine and one sine of each angle per observation.
-    cos_roll, sin_roll, cos_pitch, sin_pitch = (
-        np.array([f(angle) for angle in angles])[:, None]
-        for angles in (rolls, pitches)
-        for f in (math.cos, math.sin)
-    )
+    # (T, 1) columns: one cosine and one sine of each angle per observation,
+    # from one array of math values.
+    trig = [f(a) for angles in (rolls, pitches) for f in (math.cos, math.sin) for a in angles]
+    cos_roll, sin_roll, cos_pitch, sin_pitch = np.array(trig).reshape(4, len(rolls), 1)
     with np.errstate(over="ignore", invalid="ignore"):
         height = cos_roll * norm[..., 1] - sin_roll * norm[..., 0]
         down = sin_pitch + cos_pitch * height
         # Divide first: c0 * the forward run can overflow where the depth is in range.
         scale = c0 / np.where(down < HORIZON_EPS, np.nan, down)
         depths = (cos_pitch - sin_pitch * height) * scale
-    missed = ~np.isfinite(depths)
-    depths[missed] = np.nan
-    # A row that is not visible repeats a visible one, so it misses only
-    # where that row does.
-    for i, any_missed in enumerate(missed.any(axis=-1).tolist()):
-        if any_missed and failures[i] is None:
-            n_missed = int(np.count_nonzero(missed[i] & visible[i]))
+        largest, smallest = depths.max(axis=-1), depths.min(axis=-1)
+        spreads = (largest - smallest).tolist()
+        weights = visible[..., None, :].astype(float)
+        means = ((weights @ depths[..., None])[..., 0, 0] / visible.sum(axis=-1)).tolist()
+    for i, extremes in enumerate(zip(largest.tolist(), smallest.tolist())):
+        if all(map(math.isfinite, extremes)):
+            continue
+        spreads[i] = means[i] = math.nan
+        # A row that is not visible repeats a visible one, so it misses only
+        # where that row does.
+        if failures[i] is None:
+            n_missed = int(np.count_nonzero(~np.isfinite(depths[i]) & visible[i]))
             failures[i] = NoHorizonIntersection(
                 f"{n_missed} point(s) back-project at or above the horizon"
             )
-    spreads = depths.max(axis=-1) - depths.min(axis=-1)
-    weights = visible[..., None, :].astype(float)
-    means = (weights @ depths[..., None])[..., 0, 0] / visible.sum(axis=-1)
-    return spreads.tolist(), means.tolist()
+    return spreads, means
 
 
 def _estimate(

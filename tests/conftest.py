@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from camline import DistortionCoefficients, Intrinsics, NonConvergent, SceneConstraints
+from camline import (
+    DistortionCoefficients,
+    Intrinsics,
+    NoHorizonIntersection,
+    NonConvergent,
+    SceneConstraints,
+)
 from camline.core_geometry import UNDISTORT_TOL_PX
 from camline.orientation_estimator import HORIZON_EPS
 
@@ -133,6 +139,59 @@ def undistort_reference(uv, k: Intrinsics, d: DistortionCoefficients, max_iter: 
             f"undistortion did not reach tol={UNDISTORT_TOL_PX} px within {max_iter} iterations"
         )
     return out, failures
+
+
+def undistort_no_lens_reference(uv, k: Intrinsics):
+    """No-lens undistortion that tests every pixel, the oracle of ``_undistort_uv``'s bound.
+
+    Takes ``(T, N, 2)`` observations and returns a copy of the pixels and,
+    per observation, ``None`` or the ``NonConvergent`` it fails with: where
+    some pixel's ``r^2 + 2*dx^2`` or ``r^2 + 2*dy^2`` is not finite, the
+    tangential terms of the map are not finite either.
+    """
+    obs = np.asarray(uv, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = obs[..., 0] - k.cx, obs[..., 1] - k.cy
+        r2 = dx * dx + dy * dy
+        finite = np.isfinite(r2 + 2.0 * dx * dx) & np.isfinite(r2 + 2.0 * dy * dy)
+    failures = [
+        None if ok else NonConvergent("undistortion diverged; pixel outside the invertible lens region")
+        for ok in finite.all(axis=-1).tolist()
+    ]
+    return obs.copy(), failures
+
+
+def depth_stats_reference(norm, visible, rolls, pitches, c0: float, failures: list):
+    """``_depth_stats`` with a per-point miss mask over the whole batch, its oracle.
+
+    Marks every non-finite depth as a miss and sets it to NaN before taking
+    the spread (max - min) and the mean, so an observation with a miss
+    gets NaN numbers, and records ``NoHorizonIntersection`` with the count of
+    its visible points that miss.  ``_depth_stats`` must give the same
+    numbers, bit for bit, and the same failures.
+    """
+    cos_roll, sin_roll, cos_pitch, sin_pitch = (
+        np.array([f(angle) for angle in angles])[:, None]
+        for angles in (rolls, pitches)
+        for f in (math.cos, math.sin)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        height = cos_roll * norm[..., 1] - sin_roll * norm[..., 0]
+        down = sin_pitch + cos_pitch * height
+        scale = c0 / np.where(down < HORIZON_EPS, np.nan, down)
+        depths = (cos_pitch - sin_pitch * height) * scale
+        missed = ~np.isfinite(depths)
+        depths[missed] = np.nan
+        for i, any_missed in enumerate(missed.any(axis=-1).tolist()):
+            if any_missed and failures[i] is None:
+                n_missed = int(np.count_nonzero(missed[i] & visible[i]))
+                failures[i] = NoHorizonIntersection(
+                    f"{n_missed} point(s) back-project at or above the horizon"
+                )
+        spreads = depths.max(axis=-1) - depths.min(axis=-1)
+        weights = visible[..., None, :].astype(float)
+        means = (weights @ depths[..., None])[..., 0, 0] / visible.sum(axis=-1)
+    return spreads.tolist(), means.tolist()
 
 
 def plane_points(norm: np.ndarray, rot: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,7 @@ from conftest import (
     distort_jacobian_full,
     rotation_x,
     rotation_z,
+    undistort_no_lens_reference,
     undistort_reference,
 )
 
@@ -232,6 +233,49 @@ class TestUndistort:
             p[axis] += offset
             with pytest.raises(NonConvergent, match="^undistortion diverged"):
                 undistort(PixelPoint(*p), default_k, zero_d)
+
+    @pytest.mark.parametrize(
+        "k",
+        [Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0),
+         Intrinsics(fx=1000.0, fy=1000.0, cx=1e308, cy=-1e308)],
+        ids=["default", "far-principal-point"],
+    )
+    def test_no_lens_bound_matches_the_per_point_test(self, k, zero_d):
+        # A batch whose offsets from the principal point are all within
+        # 1e150 px returns at once; any other batch tests each pixel.  Both
+        # must give the oracle's pixels and failures, which tests every pixel.
+        bound = 1e150
+        radii = [0.0, 1e3, 1e149, math.nextafter(bound, 0.0), bound,
+                 math.nextafter(bound, math.inf), 1e151,
+                 *np.geomspace(7e153, 1.4e154, 15).tolist(), 1e200, 1e300]
+        directions = [0.0, math.pi / 2, math.pi, 1.5 * math.pi, math.pi / 4, 0.3, 2.0, 4.0]
+        pixels = [(k.cx + r * math.cos(a), k.cy + r * math.sin(a))
+                  for r in radii for a in directions]
+        pixels += [(math.nan, k.cy), (k.cx, math.nan), (math.inf, k.cy), (-math.inf, k.cy),
+                   (k.cx, math.inf), (k.cx, -math.inf), (-1.7e308, 1.7e308), (1.7e308, -1.7e308)]
+        # Each pixel alone, as an observation of one and beside two ordinary
+        # pixels; random mixed batches; and batches with no observation or
+        # no pixel.
+        single = np.array(pixels)[:, None, :]
+        beside = np.array([[(k.cx + 60.0, k.cy + 40.0), p, (k.cx - 40.0, k.cy + 20.0)]
+                           for p in pixels])
+        rng = np.random.default_rng(20)
+        mixed = np.array(pixels)[rng.integers(len(pixels), size=(50, 4))]
+        batches = [*single[:, None], *beside[:, None], single, beside, mixed,
+                   *mixed[:, None], np.empty((3, 0, 2)), np.empty((0, 4, 2))]
+        for batch in batches:
+            und, failures = _undistort_uv(batch, k, zero_d)
+            want, want_failures = undistort_no_lens_reference(batch, k)
+            assert und.shape == batch.shape
+            assert und.tobytes() == want.tobytes()
+            assert repr(failures) == repr(want_failures)
+            assert not np.shares_memory(und, batch)
+        # The sample holds both sides of the bound and both outcomes.
+        with np.errstate(over="ignore"):
+            offsets = np.abs(single - (k.cx, k.cy)).max(axis=(1, 2))
+        assert (offsets <= bound).any() and (offsets > bound).any()
+        outcomes = undistort_no_lens_reference(single, k)[1]
+        assert None in outcomes and any(f is not None for f in outcomes)
 
     def test_round_trip_random_pixels(self, default_k):
         # 1000 random pixels inside the half-image-diagonal radius,

@@ -81,6 +81,24 @@ class TestObservation:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
             ReferenceLineObservation.from_array(uv)
 
+    def test_from_array_names_the_first_non_finite_value_in_row_order(self):
+        with pytest.raises(ValueError, match="^v must be finite, got nan$"):
+            ReferenceLineObservation.from_array([[1.0, math.nan], [math.inf, 2.0]])
+
+    def test_from_array_checks_finiteness_before_the_row_count(self):
+        with pytest.raises(ValueError, match="^u must be finite, got nan$"):
+            ReferenceLineObservation.from_array([[math.nan, 2.0]])
+
+    def test_from_array_keeps_ints_signed_zeros_and_subnormals_exactly(self):
+        tiny = 5e-324
+        obs = ReferenceLineObservation.from_array([[3, -0.0], [tiny, -2.5e-310], [-7, 2**60]])
+        got = [(p.u, p.v) for p in obs.pixels]
+        assert all(type(x) is float for pair in got for x in pair)
+        assert np.array(got).tobytes() == np.array(
+            [[3.0, -0.0], [tiny, -2.5e-310], [-7.0, 2.0**60]]
+        ).tobytes()
+        assert math.copysign(1.0, got[0][1]) == -1.0
+
     def test_from_array_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2 points, got 1"):
             ReferenceLineObservation.from_array(np.array([[1.0, 2.0]]))
@@ -542,6 +560,63 @@ class TestSymmetries:
         mirror = estimate_orientation(mirrored_obs, k, replace(d, p1=-p1), sc).orientation
         assert abs(mirror.roll + est.roll) <= 1e-15
         assert abs(mirror.pitch - est.pitch) <= 1e-15
+
+    @given(
+        roll=st.floats(min_value=-0.1, max_value=0.1),
+        pitch=st.floats(min_value=0.4, max_value=0.8),
+        k1=st.floats(min_value=-3e-7, max_value=3e-7),
+        p1=st.floats(min_value=-1e-6, max_value=1e-6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_reversed_pixels_give_the_same_orientation(self, roll, pitch, k1, p1, seed):
+        # The fit sums the points in another order; nothing else changes.
+        k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
+        sc = SceneConstraints(c0=2.0, z0=3.0)
+        d = DistortionCoefficients(k1=k1, p1=p1)
+        obs = render_line(_scene(roll, pitch, k, d, sc, noise_sigma=0.5, rng_seed=seed))
+        reversed_obs = ReferenceLineObservation(obs.pixels[::-1])
+        try:
+            est = estimate_orientation(obs, k, d, sc).orientation
+        except GeometryError as exc:
+            with pytest.raises(type(exc)):
+                estimate_orientation(reversed_obs, k, d, sc)
+            return
+        rev = estimate_orientation(reversed_obs, k, d, sc).orientation
+        assert abs(rev.roll - est.roll) <= 4.4e-16
+        assert abs(rev.pitch - est.pitch) <= 4.4e-16
+
+    @given(
+        roll=st.floats(min_value=-0.1, max_value=0.1),
+        pitch=st.floats(min_value=0.4, max_value=0.8),
+        c0=st.floats(min_value=0.5, max_value=5.0),
+        off_axis=st.floats(min_value=-0.25, max_value=0.25),
+        k1=st.floats(min_value=-3e-7, max_value=3e-7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_scaling_the_scene_by_eight_scales_only_the_depths(
+        self, roll, pitch, c0, off_axis, k1, seed
+    ):
+        # The same pixels against a scene 8 times as large: pitch depends on
+        # c0 and z0 only through atan2(c0, z0), and every depth is c0 times
+        # a factor of the pixel, so a power of two scales them exactly.  The
+        # line lies off_axis rad off the optical axis, inside the image.
+        k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
+        d = DistortionCoefficients(k1=k1, p1=1e-6)
+        sc = SceneConstraints(c0=c0, z0=c0 / math.tan(pitch + off_axis))
+        big = SceneConstraints(c0=8.0 * sc.c0, z0=8.0 * sc.z0)
+        obs = render_line(_scene(roll, pitch, k, d, sc, noise_sigma=0.5, rng_seed=seed))
+        try:
+            est = estimate_orientation(obs, k, d, sc)
+        except GeometryError as exc:
+            with pytest.raises(type(exc)):
+                estimate_orientation(obs, k, d, big)
+            return
+        scaled = estimate_orientation(obs, k, d, big)
+        assert scaled.orientation == est.orientation
+        assert scaled.residual_z_spread == 8.0 * est.residual_z_spread
+        assert scaled.residual_z_bias == 8.0 * est.residual_z_bias
 
 
 class TestOracleEquivalence:

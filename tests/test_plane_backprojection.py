@@ -20,7 +20,7 @@ from camline import (
 from camline.core_geometry import _normalize_uv, _project_uv, _undistort_uv
 from camline.orientation_estimator import HORIZON_EPS, _depth_stats
 
-from conftest import plane_points, rotation_x
+from conftest import depth_stats_reference, plane_points, rotation_x
 
 
 def back_project(u, v, k, rot, c0, d=None):
@@ -223,6 +223,71 @@ class TestClosedFormDepth:
         point, missed = plane_points(np.array([0.0, 1e10]), rotation_xz(-0.5, 0.0), 1e300)
         assert failures == [None] and not missed
         assert depth == pytest.approx(point[2], rel=1e-12)
+
+
+def _batch_as_fitted(norm: np.ndarray, visible: np.ndarray) -> np.ndarray:
+    """``norm`` with each row that is not visible replaced by the observation's
+    first visible row, as ``_fit_observation`` leaves them."""
+    first = norm[np.arange(len(norm)), visible.argmax(axis=-1)]
+    return np.where(visible[..., None], norm, first[:, None, :])
+
+
+class TestDepthStatsOracle:
+    """``_depth_stats`` finds a miss from each observation's largest and
+    smallest depth; the oracle ``depth_stats_reference`` masks every point."""
+
+    @staticmethod
+    def _check(norm, visible, rolls, pitches, c0, failures=None):
+        failures = failures or [None] * len(norm)
+        want_failures = list(failures)
+        got = _depth_stats(norm, visible, rolls, pitches, c0, failures)
+        want = depth_stats_reference(norm, visible, rolls, pitches, c0, want_failures)
+        for g, w in zip(got, want):
+            assert np.array(g).tobytes() == np.array(w).tobytes()
+        assert repr(failures) == repr(want_failures)
+        return (*got, failures)
+
+    @pytest.mark.parametrize("c0", [2.0, 1e300, 1.5e307])
+    def test_random_batches_match_the_per_point_mask(self, c0):
+        # Pitches over (-pi/2, pi) put many points at or above the horizon,
+        # and a huge c0 sends others past the float range.  Rows that are not
+        # visible repeat the first visible row, which may itself miss.
+        rng = np.random.default_rng(7)
+        n_missed = 0
+        for n in (1, 2, 5, 40):
+            norm = rng.uniform(-2.0, 2.0, (60, n, 2))
+            visible = rng.random((60, n)) < 0.7
+            visible[np.arange(60), rng.integers(n, size=60)] = True
+            rolls = rng.uniform(-1.2, 1.2, 60).tolist()
+            pitches = rng.uniform(-1.5, 3.1, 60).tolist()
+            *_, failures = self._check(_batch_as_fitted(norm, visible), visible, rolls, pitches,
+                                       c0)
+            n_missed += sum(f is not None for f in failures)
+        assert 0 < n_missed < 240
+
+    def test_a_missed_row_that_is_not_visible_is_not_counted(self):
+        # Unrotated camera: row 0 looks along the horizon (yn = 0) and
+        # misses; rows 2 and 3 repeat it but are not visible.
+        norm = np.array([[[0.1, 0.0], [0.2, 0.5], [0.1, 0.0], [0.1, 0.0]]])
+        visible = np.array([[True, True, False, False]])
+        (spread,), (mean,), failures = self._check(norm, visible, [0.0], [0.0], 2.0)
+        assert math.isnan(spread) and math.isnan(mean)
+        assert str(failures[0]) == "1 point(s) back-project at or above the horizon"
+
+    def test_an_earlier_failure_is_kept(self):
+        norm = np.array([[[0.1, 0.0], [0.2, 0.5]], [[0.1, 0.4], [0.2, 0.5]]])
+        earlier = NoHorizonIntersection("recorded before")
+        *_, failures = self._check(norm, np.ones((2, 2), bool), [0.0, 0.0], [0.0, 0.0], 2.0,
+                                   [earlier, None])
+        assert failures == [earlier, None]
+
+    def test_finite_depths_whose_spread_overflows_are_not_a_miss(self):
+        # Pitched 1.2 rad down, y' = -2 meets the plane ahead at about
+        # 10.7 * c0 and y' = 100 behind the camera at about -2.5 * c0: both
+        # depths are finite, but their difference exceeds the float range.
+        norm = np.array([[[0.0, -2.0], [0.0, 100.0]]])
+        (spread,), _, failures = self._check(norm, np.ones((1, 2), bool), [0.0], [1.2], 1.5e307)
+        assert failures == [None] and spread == math.inf
 
 
 class TestUndistortThenBackProject:
