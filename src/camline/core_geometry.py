@@ -125,9 +125,12 @@ class SceneConstraints:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class PixelPoint:
-    """Real-valued image location (u right, v down), in pixels."""
+    """Real-valued image location (u right, v down), in pixels.
+
+    The fields live in slots, so a point has no ``__dict__``.
+    """
 
     u: float
     v: float
@@ -136,10 +139,14 @@ class PixelPoint:
         _set_pixel(self, _require_finite("u", u), _require_finite("v", v))
 
 
+# The slots' own setters: they write past the frozen ``__setattr__``.
+_set_u, _set_v = PixelPoint.u.__set__, PixelPoint.v.__set__
+
+
 def _set_pixel(p: PixelPoint, u: float, v: float) -> PixelPoint:
     """Set each field of ``p`` once, to floats the caller checked are finite; return ``p``."""
-    object.__setattr__(p, "u", u)
-    object.__setattr__(p, "v", v)
+    _set_u(p, u)
+    _set_v(p, v)
     return p
 
 
@@ -309,7 +316,8 @@ def _undistort_uv(
     ``(2,)`` pixel is one observation of one pixel.  Returns the undistorted
     pixels in ``uv``'s shape and, for each observation (leading axes
     flattened in C order), ``None`` or the :class:`NonConvergent` it failed
-    with.  A failed observation's pixels come back as given.
+    with.  A failed observation's pixels come back as given, and one of no
+    pixels converges.
 
     Starting from the target itself, each of at most ``max_iter`` rounds
     evaluates the residual ``_distort_uv(q) - target``.  An observation is
@@ -384,7 +392,8 @@ def _undistort_uv(
             # dx and dy are spent; they hold the squared residual norms.
             norm2 = np.multiply(e_u, e_u, out=dx)
             norm2 += np.multiply(e_v, e_v, out=dy)
-            worst = np.sqrt(norm2.max(axis=-1)).tolist()
+            # initial=0.0: an observation of no pixel has converged.
+            worst = np.sqrt(norm2.max(axis=-1, initial=0.0)).tolist()
             # A NaN or infinite residual stops its observation too: it diverged.
             going = [UNDISTORT_TOL_PX < w < math.inf for w in worst]
             if not all(going):

@@ -22,7 +22,7 @@ meets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,19 +53,33 @@ __all__ = [
 HORIZON_EPS = 1e-12
 
 
+def _require_two(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"a reference-line observation needs at least 2 points, got {n}")
+
+
 @dataclass(frozen=True)
 class ReferenceLineObservation:
-    """Ordered pixel samples along the detected reference line (>= 2 points)."""
+    """Ordered pixel samples along the detected reference line (>= 2 points).
+
+    The observation also keeps its pixels as a read-only, C-contiguous
+    (N, 2) float array, which the estimators read.  Equality and hashing
+    follow ``pixels`` only.
+    """
 
     pixels: tuple[PixelPoint, ...]
+    _uv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pixels = tuple(self.pixels)
-        if len(pixels) < 2:
-            raise ValueError(
-                f"a reference-line observation needs at least 2 points, got {len(pixels)}"
-            )
+        _require_two(len(pixels))
         object.__setattr__(self, "pixels", pixels)
+        # One flat list of floats builds faster than N two-element rows; the
+        # copy makes each row contiguous.
+        us, vs = [p.u for p in pixels], [p.v for p in pixels]
+        uv = np.array(us + vs, dtype=float).reshape(2, -1).T.copy()
+        uv.flags.writeable = False
+        object.__setattr__(self, "_uv", uv)
 
     @classmethod
     def from_array(cls, uv: np.ndarray) -> "ReferenceLineObservation":
@@ -73,32 +87,42 @@ class ReferenceLineObservation:
 
         The pixels hold exactly the doubles of ``np.asarray(uv, dtype=float)``.
         The array is checked once, as a whole, and each point is then made
-        from one ``tolist()``'s floats without checking them again.
+        from one ``tolist()``'s floats without checking them again.  The
+        observation keeps a read-only copy of the checked array, so later
+        changes to ``uv`` reach neither it nor its estimates.
 
         Raises:
             ValueError: ``uv`` is not (N, 2), a value is not finite (the
                 message names ``u`` or ``v`` of the first one in row order,
                 as :class:`PixelPoint` does), or N < 2, checked in that order.
         """
-        arr = np.asarray(uv, dtype=float)
+        # Always a new C-ordered array, never the caller's own.
+        arr = np.array(uv, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"expected an (N, 2) array of pixels, got shape {arr.shape}")
         finite = np.isfinite(arr)
         if not finite.all():
             row, column = divmod(int(finite.argmin()), 2)
             _require_finite("uv"[column], arr[row, column])  # raises, as PixelPoint would
+        _require_two(len(arr))
+        arr.flags.writeable = False
         new = object.__new__
-        return cls(tuple([_set_pixel(new(PixelPoint), u, v) for u, v in arr.tolist()]))
+        pixels = tuple([_set_pixel(new(PixelPoint), u, v) for u, v in arr.tolist()])
+        obs = new(cls)
+        object.__setattr__(obs, "pixels", pixels)
+        object.__setattr__(obs, "_uv", arr)
+        return obs
 
     def uv_array(self) -> np.ndarray:
-        """(N, 2) array of the observed pixel coordinates."""
-        # One flat list of floats builds faster than N two-element rows; the
-        # copy makes each row contiguous, as an (N, 2) array usually is.
-        us, vs = [p.u for p in self.pixels], [p.v for p in self.pixels]
-        return np.array(us + vs).reshape(2, -1).T.copy()
+        """A writable (N, 2) copy of the observed pixel coordinates."""
+        return self._uv.copy()
 
     def __len__(self) -> int:
         return len(self.pixels)
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild the read-only array from the pixels.
+        return type(self), (self.pixels,)
 
 
 @dataclass(frozen=True)
@@ -214,7 +238,7 @@ def _fit_observation(
 
 def _batch_of_one(obs: ReferenceLineObservation) -> tuple[np.ndarray, np.ndarray]:
     """The observation as a batch of one: pixels (1, N, 2), every row visible."""
-    uv = obs.uv_array()[None]
+    uv = obs._uv[None]
     return uv, np.ones(uv.shape[:-1], dtype=bool)
 
 

@@ -145,8 +145,12 @@ def _observe(
     [0, image_height)`` image whose ideal pixel is on the unfolded branch of
     the lens map (past the fold, undistortion finds a different point).
     """
-    u, v, dx, dy, r2, radial = _distort_components(ideal[..., 0], ideal[..., 1], scene.k, d)
-    *_, det = _distort_jacobian(dx, dy, r2, radial, d)
+    # A focal length far above the image can put ideal pixels where the
+    # lens polynomial overflows.  Such a row comes out non-finite, and the
+    # image bounds or the fold test drop it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v, dx, dy, r2, radial = _distort_components(ideal[..., 0], ideal[..., 1], scene.k, d)
+        *_, det = _distort_jacobian(dx, dy, r2, radial, d)
     unfolded = (radial > 0.0) & (det > 0.0)
     uv = np.stack([u, v], axis=-1) + np.multiply.outer(sigmas, noise)
     u, v = uv[..., 0], uv[..., 1]

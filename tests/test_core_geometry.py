@@ -97,6 +97,21 @@ class TestTypeInvariants:
         for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             assert q == p and type(q.u) is float and type(q.v) is float
 
+    def test_pixel_point_keeps_its_fields_in_slots(self):
+        p = PixelPoint(1, 2.5)
+        assert not hasattr(p, "__dict__") and PixelPoint.__slots__ == ("u", "v")
+        assert repr(p) == "PixelPoint(u=1.0, v=2.5)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.v = 5.0
+        # No attribute can be added.  For a name that is not a field, the
+        # frozen slots dataclass of CPython 3.11 raises TypeError, not
+        # FrozenInstanceError.
+        with pytest.raises((AttributeError, TypeError)):
+            p.w = 5.0
+        assert not hasattr(p, "w")
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert repr(q) == repr(p) and not hasattr(q, "__dict__")
+
     def test_default_distortion_is_zero(self):
         d = DistortionCoefficients()
         assert (d.k1, d.k2, d.k3, d.p1, d.p2) == (0.0, 0.0, 0.0, 0.0, 0.0)
@@ -441,6 +456,17 @@ class TestUndistort:
                 for failure in filter(None, failures):
                     kinds[str(failure).split()[1].rstrip(";")] += 1
         assert min(kinds.values()) > 50
+
+    @pytest.mark.parametrize("shape, expected", [((3, 0, 2), [None] * 3), ((0, 5, 2), [])])
+    @pytest.mark.parametrize(
+        "d", [DistortionCoefficients(), DistortionCoefficients(k1=-1e-7, p1=1e-6)],
+        ids=["no_lens", "mild_lens"],
+    )
+    def test_an_empty_batch_converges(self, default_k, d, shape, expected):
+        # An observation of no pixel has nothing left to invert, with or
+        # without a lens.
+        und, failures = _undistort_uv(np.empty(shape), default_k, d)
+        assert und.shape == shape and failures == expected
 
     def test_lens_kernels_leave_their_input_alone(self, default_k):
         # Every coefficient is non-zero, so every term is built, and one

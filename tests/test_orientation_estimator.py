@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +111,56 @@ class TestObservation:
         assert np.array_equal(obs.uv_array(), uv)
         assert obs.uv_array().flags.c_contiguous
         assert len(obs) == 2
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_later_changes_to_the_callers_array_reach_nothing(
+        self, default_k, zero_d, sc, layout
+    ):
+        base = render_line(_scene(0.03, 0.6, default_k, sc=sc, noise_sigma=0.5)).uv_array()
+        uv = {
+            "c": base.copy(),
+            "fortran": np.asfortranarray(base),
+            "strided": np.repeat(base, 2, axis=0)[::2],
+        }[layout]
+        obs = ReferenceLineObservation.from_array(uv)
+        before = (repr(obs), estimate_orientation(obs, default_k, zero_d, sc))
+        uv[:] = uv[::-1] + 7.0
+        assert repr(obs) == before[0]
+        assert obs.uv_array().tobytes() == base.tobytes()
+        assert estimate_orientation(obs, default_k, zero_d, sc) == before[1]
+
+    def test_the_kept_array_is_read_only_and_uv_array_a_writable_copy(self):
+        obs = ReferenceLineObservation.from_array([[1, 2.5], [-0.0, 3e-310], [4.0, 2**60]])
+        kept = obs._uv
+        assert not kept.flags.writeable and kept.flags.c_contiguous and kept.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 9.0
+        uv = obs.uv_array()
+        assert uv.flags.writeable and uv.flags.c_contiguous and uv.flags.owndata
+        assert not np.shares_memory(uv, kept)
+        assert uv.tobytes() == np.array([[p.u, p.v] for p in obs.pixels]).tobytes()
+        uv[0, 0] = 9.0
+        assert obs.uv_array()[0, 0] == 1.0 and obs.pixels[0].u == 1.0
+        for copied in (pickle.loads(pickle.dumps(obs)), copy.deepcopy(obs)):
+            assert copied == obs and copied._uv.tobytes() == kept.tobytes()
+            assert not copied._uv.flags.writeable
+
+    def test_the_constructor_keeps_the_same_array_as_from_array(self, default_k):
+        obs = render_line(_scene(0.03, 0.6, default_k, noise_sigma=0.5))
+        for pixels in (obs.pixels, list(obs.pixels), obs.pixels[::-1]):
+            built = ReferenceLineObservation(pixels)
+            from_array = ReferenceLineObservation.from_array([(p.u, p.v) for p in pixels])
+            assert built._uv.tobytes() == from_array._uv.tobytes()
+            assert not built._uv.flags.writeable and built._uv.flags.c_contiguous
+            assert built.pixels == tuple(pixels)
+
+    def test_equality_and_hash_follow_the_pixels(self):
+        uv = [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]]
+        a = ReferenceLineObservation.from_array(uv)
+        b = ReferenceLineObservation(tuple(PixelPoint(u, v) for u, v in uv))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "_uv" not in repr(a)
+        assert a != ReferenceLineObservation(a.pixels[::-1])
 
 
 class TestEstimateRoll:
@@ -483,7 +535,7 @@ class TestResidualZSpread:
 
 
 class TestWholeDomain:
-    SCALES = [1e-300, 1e-8, 1.0, 1e8, 1e300]
+    SCALES = [1e-300, 1e-8, 1.0, 1e8, 1e100, 1e150, 1e300]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extent", [1e-300, 3.0, 1e300])
@@ -647,3 +699,40 @@ class TestOracleEquivalence:
             )
             n_done += 1
         assert worst < 1e-8
+
+    def test_the_full_intrinsic_matrix_and_lens_are_recovered_noise_free(self, sc):
+        # The paper's intrinsic matrix [[fx, skew, cx], [0, fy, cy], [0, 0, 1]]
+        # (Hartley & Zisserman 2004, Multiple View Geometry, sec. 6.1) with
+        # fx != fy, a skew, an off-centre principal point and all five lens
+        # coefficients.  Over 499 such noise-free scenes an earlier
+        # measurement found errors up to 9.6e-13 rad in roll and 2.8e-13 in
+        # pitch, and 1,500 scenes drawn as here gave 1.5e-13 and 5.3e-14.
+        # The bound is about twice the largest of those.  Leaving the skew
+        # term out of the normalization moves roll and pitch by up to 5e-5 rad.
+        rng = np.random.default_rng(61)
+        n_done = 0
+        for _ in range(300):
+            k = Intrinsics(
+                fx=rng.uniform(600.0, 1400.0),
+                fy=rng.uniform(600.0, 1400.0),
+                cx=rng.uniform(560.0, 720.0),
+                cy=rng.uniform(300.0, 420.0),
+                skew=rng.uniform(-2.0, 2.0),
+            )
+            d = DistortionCoefficients(
+                k1=rng.uniform(-1e-7, 1e-7),
+                k2=rng.uniform(-1e-13, 1e-13),
+                k3=rng.uniform(-1e-19, 1e-19),
+                p1=rng.uniform(-1e-6, 1e-6),
+                p2=rng.uniform(-1e-6, 1e-6),
+            )
+            gt = Orientation(roll=rng.uniform(-0.1, 0.1), pitch=rng.uniform(0.4, 0.8))
+            try:
+                obs = render_line(SyntheticScene(ground_truth=gt, sc=sc, k=k, d=d))
+            except TooFewVisible:
+                continue
+            est = estimate_orientation(obs, k, d, sc).orientation
+            assert abs(est.roll - gt.roll) <= 2e-12
+            assert abs(est.pitch - gt.pitch) <= 2e-12
+            n_done += 1
+        assert n_done >= 290
