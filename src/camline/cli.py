@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import load_camera_config
 from .core_geometry import (
-    Orientation, PixelPoint, _project_uv, _require_finite, rotation_xz, undistort,
+    Orientation, PixelPoint, _project_uv, _require_real, rotation_xz, undistort,
 )
 from .errors import BehindCamera, ConfigError, GeometryError
 from .orientation_estimator import ReferenceLineObservation, estimate_orientation
@@ -143,7 +143,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_project(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
     o = Orientation(roll=math.radians(args.roll), pitch=math.radians(args.pitch))
-    w = np.array([_require_finite(name, getattr(args, name)) for name in "xyz"])
+    w = np.array([_require_real(name, getattr(args, name)) for name in "xyz"])
     rot = rotation_xz(o.pitch, o.roll)
     depth = float((w @ rot)[2])
     if depth <= 0.0:
@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GeometryError as exc:

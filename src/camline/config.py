@@ -12,7 +12,8 @@ Each section holds the fields of the dataclass :class:`CameraConfig` names
 for it.  A field with a default may be left out, and so may a section whose
 fields all have one (``skew`` and the whole ``distortion`` section, default
 0); everything else is required.  Unknown fields anywhere are rejected by name
-so typos in coefficient names cannot silently become zeros.
+so typos in coefficient names cannot silently become zeros.  A value its
+dataclass refuses reads ``section.field ...``: ``intrinsics.fy must be > 0, got 0.0``.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ class CameraConfig:
     scene: SceneConstraints
 
 
-def _number(section: str, name: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ConfigError(f"{section}.{name} is too large for a float") from None
-
-
 def _section(doc: dict, name: str, cls: type):
     """Section ``name`` of ``doc`` as a ``cls``, whose fields are its only keys."""
     required = {f.name: f.default is MISSING for f in fields(cls)}
@@ -59,9 +51,9 @@ def _section(doc: dict, name: str, cls: type):
         if needed and key not in section:
             raise ConfigError(f"missing required config field '{name}.{key}'")
     try:
-        return cls(**{key: _number(name, key, value) for key, value in section.items()})
-    except ValueError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+        return cls(**section)
+    except ConfigError as exc:  # its message starts with the field's name
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def load_camera_config(path: str | Path) -> CameraConfig:

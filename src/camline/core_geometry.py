@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent
+from .errors import ConfigError, NonConvergent
 
 __all__ = [
     "Intrinsics",
@@ -62,11 +62,42 @@ UNDISTORT_TOL_PX = 1e-9
 _DIVERGED = "undistortion diverged; pixel outside the invertible lens region"
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+# Concrete types: an isinstance check against numbers.Real costs ten times as much.
+_REAL_TYPES = (float, int, np.floating, np.integer)
+
+
+def _require_real(
+    name: str, value: object, above: float | None = None, least: float | None = None
+) -> float:
+    """``value`` as a float, or :class:`ConfigError` whose message starts with ``name``.
+
+    ``value`` must be a Python or numpy int or float, never a bool, finite
+    (an int too large for a float is not), and, where given, > ``above`` and
+    >= ``least``.
+    """
+    if value.__class__ is not float:  # most values are floats: skip the type checks
+        if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be finite, got an int too large for a float") from None
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if above is not None and value <= above:
+        raise ConfigError(f"{name} must be > {above}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     return value
+
+
+def _require_int(name: str, value: object, least: int) -> int:
+    """:func:`_require_real` for a Python or numpy int, never a bool: ``value`` as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -84,12 +115,8 @@ class Intrinsics:
     skew: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("fx", "fy", "cx", "cy", "skew"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.fx <= 0.0:
-            raise ValueError(f"fx must be > 0, got {self.fx}")
-        if self.fy <= 0.0:
-            raise ValueError(f"fy must be > 0, got {self.fy}")
+        for name, above in (("fx", 0), ("fy", 0), ("cx", None), ("cy", None), ("skew", None)):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), above))
 
 
 @dataclass(frozen=True)
@@ -107,7 +134,7 @@ class DistortionCoefficients:
 
     def __post_init__(self) -> None:
         for name in ("k1", "k2", "k3", "p1", "p2"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -119,10 +146,7 @@ class SceneConstraints:
 
     def __post_init__(self) -> None:
         for name in ("c0", "z0"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), above=0))
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -136,7 +160,7 @@ class PixelPoint:
     v: float
 
     def __init__(self, u: float, v: float) -> None:
-        _set_pixel(self, _require_finite("u", u), _require_finite("v", v))
+        _set_pixel(self, _require_real("u", u), _require_real("v", v))
 
 
 # The slots' own setters: they write past the frozen ``__setattr__``.
@@ -159,7 +183,7 @@ class Orientation:
 
     def __post_init__(self) -> None:
         for name in ("roll", "pitch"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------

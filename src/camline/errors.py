@@ -2,9 +2,9 @@
 
 Two families matter to callers (and to the CLI's exit codes):
 
-* :class:`ConfigError` -- malformed input documents (config files, line-point
-  CSV files, bad field values) and files the CLI cannot read or write.  CLI
-  exit code 1.
+* :class:`ConfigError`, also a :class:`ValueError` -- malformed input
+  documents (config files, line-point CSV files), field values the library
+  checks, and files the CLI cannot read or write.  CLI exit code 1.
 * :class:`GeometryError` -- domain or numerical failures raised by otherwise
   valid inputs: a pixel the lens cannot invert (:class:`NonConvergent`), line
   pixels too close to fix a direction (:class:`DegenerateLine`), a pixel that
@@ -27,8 +27,8 @@ class CamlineError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(CamlineError):
-    """An input document is malformed or invalid, or a file cannot be read or written."""
+class ConfigError(CamlineError, ValueError):
+    """An input document or field value is invalid, or a file cannot be read or written."""
 
 
 class GeometryError(CamlineError):

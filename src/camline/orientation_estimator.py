@@ -33,11 +33,11 @@ from .core_geometry import (
     PixelPoint,
     SceneConstraints,
     _normalize_uv,
-    _require_finite,
+    _require_real,
     _set_pixel,
     _undistort_uv,
 )
-from .errors import DegenerateLine, NoHorizonIntersection
+from .errors import ConfigError, DegenerateLine, NoHorizonIntersection
 
 __all__ = [
     "ReferenceLineObservation",
@@ -55,7 +55,7 @@ HORIZON_EPS = 1e-12
 
 def _require_two(n: int) -> None:
     if n < 2:
-        raise ValueError(f"a reference-line observation needs at least 2 points, got {n}")
+        raise ConfigError(f"a reference-line observation needs at least 2 points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,21 @@ class ReferenceLineObservation:
         changes to ``uv`` reach neither it nor its estimates.
 
         Raises:
-            ValueError: ``uv`` is not (N, 2), a value is not finite (the
-                message names ``u`` or ``v`` of the first one in row order,
-                as :class:`PixelPoint` does), or N < 2, checked in that order.
+            ConfigError: ``uv`` holds no ints or floats, is not (N, 2), has a
+                non-finite value (named ``u`` or ``v``, the first in row
+                order, as :class:`PixelPoint` does) or N < 2, in that order.
         """
+        arr = np.asarray(uv)
+        if arr.dtype.kind not in "iuf":
+            raise ConfigError(f"pixels must be real numbers, got an array of {arr.dtype}")
         # Always a new C-ordered array, never the caller's own.
-        arr = np.array(uv, dtype=float, order="C")
+        arr = np.array(arr, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected an (N, 2) array of pixels, got shape {arr.shape}")
+            raise ConfigError(f"expected an (N, 2) array of pixels, got shape {arr.shape}")
         finite = np.isfinite(arr)
         if not finite.all():
             row, column = divmod(int(finite.argmin()), 2)
-            _require_finite("uv"[column], arr[row, column])  # raises, as PixelPoint would
+            _require_real("uv"[column], arr[row, column])  # raises, as PixelPoint would
         _require_two(len(arr))
         arr.flags.writeable = False
         new = object.__new__
@@ -195,6 +198,23 @@ def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[
     return rolls, heights
 
 
+def _undistort_batch(
+    uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """``(und, norm, failures)``: a (T, N, 2) batch undistorted, then normalized.
+
+    A failed observation's pixels, which may be as far out as 1e300 px, go
+    to the principal point, so no later stage overflows.
+    """
+    und, failures = _undistort_uv(uv, k, d)
+    failed = [i for i, failure in enumerate(failures) if failure is not None]
+    if failed:
+        und[failed] = (k.cx, k.cy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a pixel far out may normalize to inf
+        norm = _normalize_uv(und, k)
+    return und, norm, failures
+
+
 def _fit_observation(
     uv: np.ndarray, visible: np.ndarray, k: Intrinsics, d: DistortionCoefficients
 ) -> tuple[np.ndarray, list[float], list[float], list]:
@@ -212,12 +232,7 @@ def _fit_observation(
     if not visible.all():
         first = uv[np.arange(len(uv)), visible.argmax(axis=-1)]
         uv = np.where(visible[..., None], uv, first[:, None, :])
-    und, failures = _undistort_uv(uv, k, d)
-    # A failed observation's pixels come back as given, which may be as far
-    # out as 1e300: put them on the principal point so no later stage overflows.
-    failed = [i for i, failure in enumerate(failures) if failure is not None]
-    if failed:
-        und[failed] = (k.cx, k.cy)
+    und, norm, failures = _undistort_batch(uv, k, d)
     u, v = und[..., 0], und[..., 1]
     spans = np.hypot(u.max(axis=-1) - u.min(axis=-1), v.max(axis=-1) - v.min(axis=-1))
     for i, span in enumerate(spans.tolist()):
@@ -225,10 +240,8 @@ def _fit_observation(
             failures[i] = DegenerateLine(
                 f"line pixels span {span:.3g} px; they must span more than 1 px"
             )
-    # A focal length far below the line's pixel span can overflow the
-    # normalized points or their scatter; the fit then gives a NaN roll.
+    # A focal length far below the line's pixel span can overflow the scatter: a NaN roll.
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = _normalize_uv(und, k)
         rolls, heights = _fit_line(norm, visible)
     for i, roll in enumerate(rolls):
         if math.isnan(roll) and failures[i] is None:
@@ -384,13 +397,7 @@ def residual_z_spread(
             horizon under ``orientation``.
     """
     uv, visible = _batch_of_one(obs)
-    und, failures = _undistort_uv(uv, k, d)
-    if failures[0] is not None:
-        und[:] = (k.cx, k.cy)  # as in _fit_observation: a failed pixel may be 1e300 px out
-    # As in _fit_observation: a pixel far out against the focal length may
-    # normalize to infinity, and a non-finite point misses the plane.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = _normalize_uv(und, k)
+    _, norm, failures = _undistort_batch(uv, k, d)  # a non-finite point misses the plane
     (spread,), (mean_depth,) = _depth_stats(
         norm, visible, [orientation.roll], [orientation.pitch], c0, failures
     )

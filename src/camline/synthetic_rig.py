@@ -26,9 +26,11 @@ from .core_geometry import (
     _distort_components,
     _distort_jacobian,
     _project_uv,
+    _require_int,
+    _require_real,
     rotation_xz,
 )
-from .errors import TooFewVisible
+from .errors import ConfigError, TooFewVisible
 from .orientation_estimator import ReferenceLineObservation, _estimate
 
 __all__ = [
@@ -39,28 +41,6 @@ __all__ = [
     "sweep",
     "write_sweep_csv",
 ]
-
-
-# The number types a scene or sweep field accepts, floats first.  Concrete
-# types: a sweep's configs check thousands of values, and an isinstance check
-# against numbers.Real costs about ten times as much.
-_REAL_TYPES = (float, int, np.floating, np.integer)
-
-
-def _require_real(name: str, *values: object) -> None:
-    """Raise ``ValueError`` naming ``name`` unless every value is an int or
-    float (Python or numpy), not a bool."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _require_int(name: str, value: object, least: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int, not a bool, and >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -83,18 +63,12 @@ class SyntheticScene:
     image_height: int = 720
 
     def __post_init__(self) -> None:
-        _require_int("n_points", self.n_points, 2)
-        _require_int("rng_seed", self.rng_seed, 0)
-        _require_real("line_x_extent", self.line_x_extent)
-        _require_real("noise_sigma", self.noise_sigma)
-        if not math.isfinite(self.line_x_extent) or self.line_x_extent <= 0.0:
-            raise ValueError(f"line_x_extent must be > 0, got {self.line_x_extent}")
-        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        _require_int("image_width", self.image_width, 1)
-        _require_int("image_height", self.image_height, 1)
-        # A float, so that an int sigma still writes as "0.0" in the sweep CSV.
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        for name, least in (("n_points", 2), ("rng_seed", 0), ("image_width", 1),
+                            ("image_height", 1)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
+        # Floats, so that an int sigma still writes as "0.0" in the sweep CSV.
+        for name, above, least in (("line_x_extent", 0, None), ("noise_sigma", None, 0)):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), above, least))
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,21 +184,17 @@ class SweepConfig:
     k1_scales: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        _require_real("noise_sigmas", *self.noise_sigmas)
-        for sigma in self.noise_sigmas:
-            if not math.isfinite(sigma) or sigma < 0.0:
-                raise ValueError(f"noise_sigmas must be finite and >= 0, got {sigma!r}")
-        _require_real("k1_scales", *self.k1_scales)
-        for scale in self.k1_scales:
-            if not math.isfinite(scale):
-                raise ValueError(f"k1_scales must be finite, got {scale!r}")
-        _require_int("seeds_per_cell", self.seeds_per_cell, 0)
-        _require_int("base_seed", self.base_seed, 0)
+        # Float tuples, so that an int axis value still writes as "1.0" in the sweep CSV.
+        for name, least in (("noise_sigmas", 0), ("k1_scales", None), ("roll_range", None),
+                            ("pitch_range", None)):
+            values = tuple(_require_real(name, v, least=least) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        for name in ("seeds_per_cell", "base_seed"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), 0))
         for name in ("roll_range", "pitch_range"):
-            span = tuple(getattr(self, name))
-            _require_real(name, *span)
-            if not (len(span) == 2 and all(map(math.isfinite, span)) and span[0] <= span[1]):
-                raise ValueError(f"{name} must be finite (lo, hi) with lo <= hi, got {span!r}")
+            span = getattr(self, name)
+            if not (len(span) == 2 and span[0] <= span[1]):
+                raise ConfigError(f"{name} must be (lo, hi) with lo <= hi, got {span!r}")
 
 
 def sweep(config: SweepConfig) -> list[TrialReport]:
@@ -235,10 +205,7 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
     errors plus the failure message); they never abort the sweep.
     """
     base = config.base_scene
-    # float() returns a float as it is, so every report shares the config's
-    # objects; an int axis value would write as "1", not "1.0", in the CSV.
-    sigmas = [float(sigma) for sigma in config.noise_sigmas]
-    k1_scales = [float(scale) for scale in config.k1_scales]
+    sigmas, k1_scales = config.noise_sigmas, config.k1_scales
     if not (sigmas and k1_scales and config.seeds_per_cell):
         return []
     # Trial j's pose and noise depend only on (base_seed, j): draw them once

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camline import (
+    ConfigError,
     DegenerateLine,
     DistortionCoefficients,
     GeometryError,
@@ -100,6 +101,24 @@ class TestObservation:
             [[3.0, -0.0], [tiny, -2.5e-310], [-7.0, 2.0**60]]
         ).tobytes()
         assert math.copysign(1.0, got[0][1]) == -1.0
+
+    @pytest.mark.parametrize(
+        "uv",
+        [
+            np.array([[1 + 2j, 3.0], [4.0, 5.0]]),
+            np.array([[True, False], [False, True]]),
+            [["1", "2"], ["3", "4"]],
+            np.array([[1.0, None], [3.0, 4.0]], dtype=object),
+        ],
+        ids=["complex", "bool", "string", "object"],
+    )
+    def test_from_array_refuses_a_non_real_array_by_its_dtype(self, uv):
+        # Checked before the shape: a (1, 3) array fails on its dtype too.
+        dtype = np.asarray(uv).dtype
+        message = rf"^pixels must be real numbers, got an array of {dtype}$"
+        for bad in (uv, np.asarray(uv)[:1, [0, 1, 1]]):
+            with pytest.raises(ConfigError, match=message):
+                ReferenceLineObservation.from_array(bad)
 
     def test_from_array_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2 points, got 1"):
