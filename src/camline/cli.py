@@ -81,7 +81,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = load_camera_config(args.config)
-    obs = ReferenceLineObservation.from_array(_read_line_points(args.line_points))
+    obs = ReferenceLineObservation(_read_line_points(args.line_points))
     est = estimate_orientation(obs, cfg.intrinsics, cfg.distortion, cfg.scene)
     o = est.orientation
     result = {
@@ -116,7 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     obs = render_line(scene)
 
     out = Path(args.output)
-    lines = ["u,v"] + [f"{p.u!r},{p.v!r}" for p in obs.pixels]
+    lines = ["u,v"] + [f"{u!r},{v!r}" for u, v in obs.uv_array().tolist()]
     _write_text(out, "\n".join(lines) + "\n")
 
     truth = {

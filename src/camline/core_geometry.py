@@ -149,29 +149,21 @@ class SceneConstraints:
             object.__setattr__(self, name, _require_real(name, getattr(self, name), above=0))
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class PixelPoint:
-    """Real-valued image location (u right, v down), in pixels.
+    """One real-valued image location (u right, v down), in pixels.
 
-    The fields live in slots, so a point has no ``__dict__``.
+    The single-pixel type of :func:`undistort` and the CLI; an observation
+    keeps its pixels as one array instead.  The fields live in slots, so a
+    point has no ``__dict__``.
     """
 
     u: float
     v: float
 
-    def __init__(self, u: float, v: float) -> None:
-        _set_pixel(self, _require_real("u", u), _require_real("v", v))
-
-
-# The slots' own setters: they write past the frozen ``__setattr__``.
-_set_u, _set_v = PixelPoint.u.__set__, PixelPoint.v.__set__
-
-
-def _set_pixel(p: PixelPoint, u: float, v: float) -> PixelPoint:
-    """Set each field of ``p`` once, to floats the caller checked are finite; return ``p``."""
-    _set_u(p, u)
-    _set_v(p, v)
-    return p
+    def __post_init__(self) -> None:
+        for name in ("u", "v"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ meets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,9 @@ from .core_geometry import (
     DistortionCoefficients,
     Intrinsics,
     Orientation,
-    PixelPoint,
     SceneConstraints,
     _normalize_uv,
     _require_real,
-    _set_pixel,
     _undistort_uv,
 )
 from .errors import ConfigError, DegenerateLine, NoHorizonIntersection
@@ -53,50 +51,32 @@ __all__ = [
 HORIZON_EPS = 1e-12
 
 
-def _require_two(n: int) -> None:
-    if n < 2:
-        raise ConfigError(f"a reference-line observation needs at least 2 points, got {n}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ReferenceLineObservation:
     """Ordered pixel samples along the detected reference line (>= 2 points).
 
-    The observation also keeps its pixels as a read-only, C-contiguous
-    (N, 2) float array, which the estimators read.  Equality and hashing
-    follow ``pixels`` only.
+    Built from an (N, 2) array-like of (u, v) pixel coordinates, checked once
+    as a whole.  The one field is a read-only, C-contiguous copy holding
+    exactly the doubles of ``np.asarray(uv, dtype=float)``, which the
+    estimators read; later changes to ``uv`` reach neither it nor its
+    estimates.  Two observations are equal when their arrays have the same
+    shape and equal floats (so ``-0.0 == 0.0``), and their hashes agree.
+
+    Raises:
+        ConfigError: ``uv`` is a ragged sequence, holds no ints or floats, is
+            not (N, 2), has a non-finite value (named ``u`` or ``v``, the
+            first in row order) or N < 2, in that order.
     """
 
-    pixels: tuple[PixelPoint, ...]
-    _uv: np.ndarray = field(init=False, repr=False, compare=False)
+    _uv: np.ndarray
 
-    def __post_init__(self) -> None:
-        pixels = tuple(self.pixels)
-        _require_two(len(pixels))
-        object.__setattr__(self, "pixels", pixels)
-        # One flat list of floats builds faster than N two-element rows; the
-        # copy makes each row contiguous.
-        us, vs = [p.u for p in pixels], [p.v for p in pixels]
-        uv = np.array(us + vs, dtype=float).reshape(2, -1).T.copy()
-        uv.flags.writeable = False
-        object.__setattr__(self, "_uv", uv)
-
-    @classmethod
-    def from_array(cls, uv: np.ndarray) -> "ReferenceLineObservation":
-        """Build from an (N, 2) array-like of (u, v) pixel coordinates.
-
-        The pixels hold exactly the doubles of ``np.asarray(uv, dtype=float)``.
-        The array is checked once, as a whole, and each point is then made
-        from one ``tolist()``'s floats without checking them again.  The
-        observation keeps a read-only copy of the checked array, so later
-        changes to ``uv`` reach neither it nor its estimates.
-
-        Raises:
-            ConfigError: ``uv`` holds no ints or floats, is not (N, 2), has a
-                non-finite value (named ``u`` or ``v``, the first in row
-                order, as :class:`PixelPoint` does) or N < 2, in that order.
-        """
-        arr = np.asarray(uv)
+    def __init__(self, uv: np.ndarray) -> None:
+        try:
+            arr = np.asarray(uv)
+        except ValueError:  # numpy refuses rows of unequal length
+            raise ConfigError(
+                "expected an (N, 2) array of pixels, got a ragged sequence"
+            ) from None
         if arr.dtype.kind not in "iuf":
             raise ConfigError(f"pixels must be real numbers, got an array of {arr.dtype}")
         # Always a new C-ordered array, never the caller's own.
@@ -106,26 +86,37 @@ class ReferenceLineObservation:
         finite = np.isfinite(arr)
         if not finite.all():
             row, column = divmod(int(finite.argmin()), 2)
-            _require_real("uv"[column], arr[row, column])  # raises, as PixelPoint would
-        _require_two(len(arr))
+            _require_real("uv"[column], arr[row, column])  # raises, naming u or v
+        if len(arr) < 2:
+            raise ConfigError(
+                f"a reference-line observation needs at least 2 points, got {len(arr)}"
+            )
         arr.flags.writeable = False
-        new = object.__new__
-        pixels = tuple([_set_pixel(new(PixelPoint), u, v) for u, v in arr.tolist()])
-        obs = new(cls)
-        object.__setattr__(obs, "pixels", pixels)
-        object.__setattr__(obs, "_uv", arr)
-        return obs
+        object.__setattr__(self, "_uv", arr)
+
+    @classmethod
+    def from_array(cls, uv: np.ndarray) -> ReferenceLineObservation:
+        """The constructor under its earlier name: ``cls(uv)``."""
+        return cls(uv)
 
     def uv_array(self) -> np.ndarray:
         """A writable (N, 2) copy of the observed pixel coordinates."""
         return self._uv.copy()
 
     def __len__(self) -> int:
-        return len(self.pixels)
+        return len(self._uv)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._uv, other._uv)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._uv.ravel().tolist()))
 
     def __reduce__(self):
-        # Pickle and deepcopy rebuild the read-only array from the pixels.
-        return type(self), (self.pixels,)
+        # Pickle and deepcopy re-run the constructor, which makes the array read-only.
+        return type(self), (self._uv,)
 
 
 @dataclass(frozen=True)

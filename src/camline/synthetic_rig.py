@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -63,6 +64,10 @@ class SyntheticScene:
     image_height: int = 720
 
     def __post_init__(self) -> None:
+        for name, kind in (("ground_truth", Orientation), ("sc", SceneConstraints),
+                           ("k", Intrinsics), ("d", DistortionCoefficients)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
         for name, least in (("n_points", 2), ("rng_seed", 0), ("image_width", 1),
                             ("image_height", 1)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
@@ -160,7 +165,7 @@ def render_line(scene: SyntheticScene) -> ReferenceLineObservation:
     n_visible = int(np.count_nonzero(keep))
     if n_visible < 2:
         raise _too_few_visible(n_visible, scene)
-    return ReferenceLineObservation.from_array(uv[0, 0][keep])
+    return ReferenceLineObservation(uv[0, 0][keep])
 
 
 @dataclass(frozen=True)
@@ -184,10 +189,15 @@ class SweepConfig:
     k1_scales: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base_scene, SyntheticScene):
+            raise ConfigError(f"base_scene must be SyntheticScene, got {self.base_scene!r}")
         # Float tuples, so that an int axis value still writes as "1.0" in the sweep CSV.
         for name, least in (("noise_sigmas", 0), ("k1_scales", None), ("roll_range", None),
                             ("pitch_range", None)):
-            values = tuple(_require_real(name, v, least=least) for v in getattr(self, name))
+            values = getattr(self, name)
+            if not isinstance(values, Sequence) and np.ndim(values) != 1:
+                raise ConfigError(f"{name} must be a sequence of numbers, got {values!r}")
+            values = tuple(_require_real(name, v, least=least) for v in values)
             object.__setattr__(self, name, values)
         for name in ("seeds_per_cell", "base_seed"):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), 0))

@@ -105,7 +105,7 @@ def golden_lines() -> list[str]:
             lines.append(f"{tag} residual: {_outcome(residual_z_spread, obs, K, d, probe, SC.c0)}")
             if i % 5 == 0:
                 lines.append(f"{tag} central: {_outcome(central_pixel, obs, K, d)}")
-                reversed_obs = ReferenceLineObservation(obs.pixels[::-1])
+                reversed_obs = ReferenceLineObservation.from_array(obs.uv_array()[::-1])
                 rev = _outcome(estimate_orientation, reversed_obs, K, d, SC)
                 lines.append(f"{tag} reversed: {rev}")
     config = SweepConfig(

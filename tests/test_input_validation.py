@@ -2,9 +2,12 @@
 
 Every real field of the public dataclasses takes a Python or numpy int or
 float, never a bool, that is finite; every int field takes a Python or numpy
-int, never a bool.  Anything else raises :class:`ConfigError`, a
-``ValueError``, whose message starts with the field's name.  The fields are
-read from ``dataclasses.fields``, so a field added later is covered too.
+int, never a bool; every tuple field takes a sequence or a 1-D array of such
+reals; every field typed as a camline dataclass takes an instance of it.
+Anything else raises :class:`ConfigError`, a ``ValueError``, whose message
+starts with the field's name.  The fields are read from
+``dataclasses.fields``, and each must fall under one of these rules, so a
+field added later is covered too.
 
 ``_require_real`` and ``_require_int`` in ``core_geometry.py`` decide this;
 the AST checks at the end keep any other module from defining its own
@@ -55,6 +58,9 @@ VALID = {
 TUPLES = ("tuple[float, ...]", "tuple[float, float]")
 REAL = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type in ("float", *TUPLES)]
 INT = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type == "int"]
+SEQUENCE = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type in TUPLES]
+CLASSES = {cls.__name__: cls for cls in VALID}
+OBJECT = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type in CLASSES]
 
 
 def _build(cls: type, name: str, value: object):
@@ -72,7 +78,9 @@ def _cases(pairs: list, values: list) -> list:
 
 
 def test_every_checked_field_is_covered():
-    assert len(REAL) == 22 and len(INT) == 6
+    assert (len(REAL), len(INT), len(SEQUENCE), len(OBJECT)) == (22, 6, 4, 5)
+    every = {(cls, f.name) for cls in VALID for f in fields(cls)}
+    assert every == set(REAL) | set(INT) | set(OBJECT)
     for cls, kwargs in VALID.items():
         cls(**kwargs)
 
@@ -107,6 +115,43 @@ def test_a_real_field_keeps_a_number_as_a_python_float(cls, name, value):
 def test_an_int_field_keeps_an_int_as_a_python_int(cls, name, value):
     got = getattr(_build(cls, name, value), name)
     assert type(got) is int and got == 2
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    _cases(SEQUENCE, [("float", 0.5), ("None", None), ("set", {0.0, 1.0}), ("0-d", np.array(0.5))]),
+)
+def test_a_tuple_field_refuses_a_non_sequence_by_name(cls, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be a sequence of numbers, got "):
+        cls(**{**VALID[cls], name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", _cases(SEQUENCE, [("list", [0, 1.0]), ("array", np.array([0.0, 1.0]))])
+)
+def test_a_tuple_field_keeps_a_sequence_as_a_float_tuple(cls, name, value):
+    got = getattr(cls(**{**VALID[cls], name: value}), name)
+    assert got == (0.0, 1.0) and type(got) is tuple and all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    _cases(OBJECT, [("None", None), ("float", 1.0), ("str", "x"), ("dict", {"roll": 0.0})]),
+)
+def test_a_dataclass_field_refuses_another_type_by_name(cls, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        cls(**{**VALID[cls], name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name", [pytest.param(cls, name, id=f"{cls.__name__}.{name}") for cls, name in OBJECT]
+)
+def test_a_dataclass_field_refuses_another_camline_dataclass(cls, name):
+    kind = CLASSES[next(f.type for f in fields(cls) if f.name == name)]
+    other = Orientation() if kind is not Orientation else SC
+    with pytest.raises(ConfigError) as info:
+        cls(**{**VALID[cls], name: other})
+    assert str(info.value) == f"{name} must be {kind.__name__}, got {other!r}"
 
 
 def test_config_error_is_a_value_error():

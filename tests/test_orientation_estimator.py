@@ -23,7 +23,6 @@ from camline import (
     NonConvergent,
     Orientation,
     OrientationEstimate,
-    PixelPoint,
     ReferenceLineObservation,
     SceneConstraints,
     SyntheticScene,
@@ -58,8 +57,8 @@ def _scene(roll, pitch, k, d=DistortionCoefficients(), sc=None, **kwargs):
 
 class TestObservation:
     def test_needs_two_points(self):
-        with pytest.raises(ValueError, match="2"):
-            ReferenceLineObservation((PixelPoint(1.0, 2.0),))
+        with pytest.raises(ConfigError, match="at least 2 points, got 1"):
+            ReferenceLineObservation(((1.0, 2.0),))
 
     def test_from_array_shape_check(self):
         with pytest.raises(ValueError):
@@ -71,10 +70,10 @@ class TestObservation:
         ids=["tuples", "ints"],
     )
     def test_from_array_pixels_are_the_float_array(self, uv):
-        obs = ReferenceLineObservation.from_array(uv)
         expected = np.asarray(uv, dtype=float)
-        assert np.array([[p.u, p.v] for p in obs.pixels]).tobytes() == expected.tobytes()
-        assert all(type(p.u) is float and type(p.v) is float for p in obs.pixels)
+        for obs in (ReferenceLineObservation(uv), ReferenceLineObservation.from_array(uv)):
+            assert obs._uv.dtype == np.float64 and obs.uv_array().dtype == np.float64
+            assert obs.uv_array().tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column, name", [(0, "u"), (1, "v")])
@@ -95,7 +94,7 @@ class TestObservation:
     def test_from_array_keeps_ints_signed_zeros_and_subnormals_exactly(self):
         tiny = 5e-324
         obs = ReferenceLineObservation.from_array([[3, -0.0], [tiny, -2.5e-310], [-7, 2**60]])
-        got = [(p.u, p.v) for p in obs.pixels]
+        got = obs.uv_array().tolist()
         assert all(type(x) is float for pair in got for x in pair)
         assert np.array(got).tobytes() == np.array(
             [[3.0, -0.0], [tiny, -2.5e-310], [-7.0, 2.0**60]]
@@ -119,6 +118,15 @@ class TestObservation:
         for bad in (uv, np.asarray(uv)[:1, [0, 1, 1]]):
             with pytest.raises(ConfigError, match=message):
                 ReferenceLineObservation.from_array(bad)
+
+    @pytest.mark.parametrize(
+        "uv", [[[1.0, 2.0], [3.0]], [[1.0, 2.0], 3.0], [[1.0, 2.0], [3.0, 4.0, 5.0]]]
+    )
+    def test_a_ragged_sequence_is_named(self, uv):
+        message = r"^expected an \(N, 2\) array of pixels, got a ragged sequence$"
+        for build in (ReferenceLineObservation, ReferenceLineObservation.from_array):
+            with pytest.raises(ConfigError, match=message):
+                build(uv)
 
     def test_from_array_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2 points, got 1"):
@@ -149,7 +157,8 @@ class TestObservation:
         assert estimate_orientation(obs, default_k, zero_d, sc) == before[1]
 
     def test_the_kept_array_is_read_only_and_uv_array_a_writable_copy(self):
-        obs = ReferenceLineObservation.from_array([[1, 2.5], [-0.0, 3e-310], [4.0, 2**60]])
+        given = [[1, 2.5], [-0.0, 3e-310], [4.0, 2**60]]
+        obs = ReferenceLineObservation.from_array(given)
         kept = obs._uv
         assert not kept.flags.writeable and kept.flags.c_contiguous and kept.dtype == float
         with pytest.raises(ValueError, match="read-only"):
@@ -157,29 +166,43 @@ class TestObservation:
         uv = obs.uv_array()
         assert uv.flags.writeable and uv.flags.c_contiguous and uv.flags.owndata
         assert not np.shares_memory(uv, kept)
-        assert uv.tobytes() == np.array([[p.u, p.v] for p in obs.pixels]).tobytes()
+        assert uv.tobytes() == kept.tobytes() == np.array(given, dtype=float).tobytes()
         uv[0, 0] = 9.0
-        assert obs.uv_array()[0, 0] == 1.0 and obs.pixels[0].u == 1.0
+        assert obs.uv_array()[0, 0] == 1.0 and kept[0, 0] == 1.0
         for copied in (pickle.loads(pickle.dumps(obs)), copy.deepcopy(obs)):
             assert copied == obs and copied._uv.tobytes() == kept.tobytes()
             assert not copied._uv.flags.writeable
 
     def test_the_constructor_keeps_the_same_array_as_from_array(self, default_k):
-        obs = render_line(_scene(0.03, 0.6, default_k, noise_sigma=0.5))
-        for pixels in (obs.pixels, list(obs.pixels), obs.pixels[::-1]):
+        uv = render_line(_scene(0.03, 0.6, default_k, noise_sigma=0.5)).uv_array()
+        given = (
+            uv,
+            uv.tolist(),
+            tuple(map(tuple, uv.tolist())),
+            uv[::-1],
+            np.asfortranarray(uv),
+            np.repeat(uv, 2, axis=0)[::2],
+        )
+        for pixels in given:
             built = ReferenceLineObservation(pixels)
-            from_array = ReferenceLineObservation.from_array([(p.u, p.v) for p in pixels])
+            from_array = ReferenceLineObservation.from_array(pixels)
             assert built._uv.tobytes() == from_array._uv.tobytes()
+            assert built._uv.tobytes() == np.asarray(pixels, dtype=float).tobytes()
             assert not built._uv.flags.writeable and built._uv.flags.c_contiguous
-            assert built.pixels == tuple(pixels)
+            assert built == from_array and hash(built) == hash(from_array)
 
-    def test_equality_and_hash_follow_the_pixels(self):
+    def test_equality_and_hash_follow_the_array(self):
         uv = [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]]
         a = ReferenceLineObservation.from_array(uv)
-        b = ReferenceLineObservation(tuple(PixelPoint(u, v) for u, v in uv))
-        assert a == b and hash(a) == hash(b)
-        assert repr(a) == repr(b) and "_uv" not in repr(a)
-        assert a != ReferenceLineObservation(a.pixels[::-1])
+        b = ReferenceLineObservation(tuple(map(tuple, uv)))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != ReferenceLineObservation.from_array(a.uv_array()[::-1])
+        assert a != ReferenceLineObservation(uv[:2]) and a != uv and a != tuple(map(tuple, uv))
+        # Equal floats, not equal bits: -0.0 == 0.0, and the hashes agree.
+        zero = ReferenceLineObservation([[0.0, 1.0], [2.0, 0.0]])
+        negative_zero = ReferenceLineObservation([[-0.0, 1.0], [2.0, -0.0]])
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert len({a, b, zero, negative_zero}) == 2
 
 
 class TestEstimateRoll:
@@ -646,7 +669,7 @@ class TestSymmetries:
         sc = SceneConstraints(c0=2.0, z0=3.0)
         d = DistortionCoefficients(k1=k1, p1=p1)
         obs = render_line(_scene(roll, pitch, k, d, sc, noise_sigma=0.5, rng_seed=seed))
-        reversed_obs = ReferenceLineObservation(obs.pixels[::-1])
+        reversed_obs = ReferenceLineObservation.from_array(obs.uv_array()[::-1])
         try:
             est = estimate_orientation(obs, k, d, sc).orientation
         except GeometryError as exc:
