@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .core_geometry import DistortionCoefficients, Intrinsics, SceneConstraints
+from .core_geometry import DistortionCoefficients, Intrinsics, SceneConstraints, _require_types
 from .errors import ConfigError
 
 __all__ = ["CameraConfig", "load_camera_config"]
@@ -34,6 +34,10 @@ class CameraConfig:
     intrinsics: Intrinsics
     distortion: DistortionCoefficients
     scene: SceneConstraints
+
+    def __post_init__(self) -> None:
+        _require_types(self, {"intrinsics": Intrinsics, "distortion": DistortionCoefficients,
+                              "scene": SceneConstraints})
 
 
 def _section(doc: dict, name: str, cls: type):

@@ -100,6 +100,13 @@ def _require_int(name: str, value: object, least: int) -> int:
     return int(value)
 
 
+def _require_types(obj: object, types: dict[str, type]) -> None:
+    """:class:`ConfigError` naming the first field of ``obj`` that is not its type in ``types``."""
+    for name, kind in types.items():
+        if not isinstance(getattr(obj, name), kind):
+            raise ConfigError(f"{name} must be {kind.__name__}, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     """Pinhole intrinsic parameters, all in pixel units.

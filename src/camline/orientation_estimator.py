@@ -123,10 +123,12 @@ class ReferenceLineObservation:
 class OrientationEstimate:
     """Estimated orientation plus back-projection residual diagnostics.
 
-    ``residual_z_spread`` is max - min of the back-projected depth over all
-    line pixels (0 for a perfect estimate on noise-free input);
-    ``residual_z_bias`` is the mean back-projected depth minus ``z0``.
-    ``warnings`` is reserved for notes on how the estimate was obtained.
+    A pixel's depth on the plane falls strictly with its de-rolled height,
+    and the pitch puts the fitted height at depth ``z0``.  So
+    ``residual_z_spread``, the depths' max - min, maps the fit's two extreme
+    perpendicular residuals: 0 on noise-free input, and blind to a wrong lens
+    that does not bow the line.  ``residual_z_bias`` is the mean depth minus
+    ``z0``.  ``warnings`` is reserved for notes on how the estimate was obtained.
     """
 
     orientation: Orientation
@@ -160,14 +162,13 @@ def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[
     """Orthogonal-regression line through each observation's visible points.
 
     ``norm`` holds observations of N normalized points (..., N, 2) and
-    ``visible`` (..., N) marks the rows to fit, at least one per
-    observation.  Returns ``(roll, height)``, one float per observation
-    (leading axes flattened) in each: the angle
+    ``visible`` (..., N) marks the rows to fit.  Returns ``(roll, height)``,
+    one float per observation (leading axes flattened) in each: the angle
     ``0.5*atan2(2*Sxy, Sxx - Syy)`` of the centred scatter's principal axis,
     wrapped into (-pi/2, pi/2], and the de-rolled height
     ``cos(roll)*yn - sin(roll)*xn`` of the centroid, which every point of
-    the fitted line shares (Pearson 1901).  Both are NaN where the scatter
-    overflowed: it fixes no direction then.
+    the fitted line shares (Pearson 1901).  Both are NaN where no row is
+    visible, or where the scatter overflowed: it fixes no direction then.
     """
     weights = visible[..., None, :].astype(float)
     centroid = (weights @ norm)[..., 0, :] / visible.sum(axis=-1)[..., None]
@@ -189,53 +190,36 @@ def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[
     return rolls, heights
 
 
-def _undistort_batch(
-    uv: np.ndarray, k: Intrinsics, d: DistortionCoefficients
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """``(und, norm, failures)``: a (T, N, 2) batch undistorted, then normalized.
-
-    A failed observation's pixels, which may be as far out as 1e300 px, go
-    to the principal point, so no later stage overflows.
-    """
-    und, failures = _undistort_uv(uv, k, d)
-    failed = [i for i, failure in enumerate(failures) if failure is not None]
-    if failed:
-        und[failed] = (k.cx, k.cy)
-    with np.errstate(over="ignore", invalid="ignore"):  # a pixel far out may normalize to inf
-        norm = _normalize_uv(und, k)
-    return und, norm, failures
-
-
 def _fit_observation(
     uv: np.ndarray, visible: np.ndarray, k: Intrinsics, d: DistortionCoefficients
 ) -> tuple[np.ndarray, list[float], list[float], list]:
-    """Undistort, span-check, normalize and fit each observation's visible pixels.
+    """Undistort, normalize, span-check and fit each observation's visible pixels.
 
-    ``uv`` is (T, N, 2) and ``visible`` (T, N), with at least one visible
-    row per observation.  Returns ``(norm, roll, height, failures)``, with
-    :class:`NonConvergent` or :class:`DegenerateLine` recorded per
-    observation.  Each row of ``norm`` that is not visible repeats a visible
-    one.
+    ``uv`` is (T, N, 2) and ``visible`` (T, N).  Returns ``(norm, roll, height,
+    failures)``, with :class:`NonConvergent` or :class:`DegenerateLine`
+    recorded per observation.  Each row that is not visible becomes a copy of
+    the first visible row, or of the first row if none is, in ``norm`` too: it
+    converges, folds or diverges with that row and moves no maximum or minimum.
+    So an observation with fewer than 2 visible rows is one pixel, and records
+    ``DegenerateLine`` (span 0), or ``NonConvergent`` if that pixel is NaN.
     """
-    # A row that is not visible becomes a copy of the observation's first
-    # visible row: it converges, folds or diverges in the same round as that
-    # row, and leaves every maximum and minimum as it is.
     if not visible.all():
         first = uv[np.arange(len(uv)), visible.argmax(axis=-1)]
         uv = np.where(visible[..., None], uv, first[:, None, :])
-    und, norm, failures = _undistort_batch(uv, k, d)
-    u, v = und[..., 0], und[..., 1]
-    spans = np.hypot(u.max(axis=-1) - u.min(axis=-1), v.max(axis=-1) - v.min(axis=-1))
-    for i, span in enumerate(spans.tolist()):
+    und, failures = _undistort_uv(uv, k, d)
+    # A failed observation keeps its pixels, out to 1.7e308 px, which may overflow its
+    # span; a focal length far below the span may overflow the scatter (a NaN roll).
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _normalize_uv(und, k)
+        u, v = und[..., 0], und[..., 1]
+        spans = np.hypot(u.max(axis=-1) - u.min(axis=-1), v.max(axis=-1) - v.min(axis=-1))
+        rolls, heights = _fit_line(norm, visible)
+    for i, (span, roll) in enumerate(zip(spans.tolist(), rolls)):
         if span <= 1.0 and failures[i] is None:
             failures[i] = DegenerateLine(
                 f"line pixels span {span:.3g} px; they must span more than 1 px"
             )
-    # A focal length far below the line's pixel span can overflow the scatter: a NaN roll.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rolls, heights = _fit_line(norm, visible)
-    for i, roll in enumerate(rolls):
-        if math.isnan(roll) and failures[i] is None:
+        elif math.isnan(roll) and failures[i] is None:
             failures[i] = DegenerateLine("the line's scatter overflows in normalized coordinates")
     return norm, rolls, heights, failures
 
@@ -275,7 +259,7 @@ def _depth_stats(
     """Depth spread and mean depth of each observation's visible points on the plane.
 
     ``norm`` is (T, N, 2) and ``visible`` (T, N), with one roll and pitch
-    per observation; each row that is not visible repeats a visible one, as
+    per observation; each row that is not visible repeats another, as
     :func:`_fit_observation` leaves them.  A point's ray
     ``rotation_xz(pitch, roll) @ (xn, yn, 1)`` depends on it only through its
     de-rolled height ``y' = cos(roll)*yn - sin(roll)*xn``: it descends by
@@ -327,12 +311,12 @@ def _estimate(
     """:func:`estimate_orientation` over a batch of observations.
 
     ``uv`` holds T observations of N pixels (T, N, 2), of which only the
-    ``visible`` (T, N) rows are used, at least 2 per observation.  Returns
-    one roll, pitch, depth spread and mean depth per observation, and per
-    observation ``None`` or the :class:`GeometryError` it failed with, the
-    first of ``NonConvergent``, ``DegenerateLine`` and
-    ``NoHorizonIntersection``.  A failed observation's numbers are
-    meaningless.
+    ``visible`` (T, N) rows are used.  Every observation runs through every
+    stage.  Returns one roll, pitch, depth spread and mean depth per
+    observation, and per observation ``None`` or the :class:`GeometryError`
+    it failed with, the first of ``NonConvergent``, ``DegenerateLine`` and
+    ``NoHorizonIntersection``: it alone marks a failed observation, whose
+    numbers are meaningless.
     """
     norm, rolls, heights, failures = _fit_observation(uv, visible, k, d)
     pitches = _pitch(heights, sc)
@@ -388,7 +372,9 @@ def residual_z_spread(
             horizon under ``orientation``.
     """
     uv, visible = _batch_of_one(obs)
-    _, norm, failures = _undistort_batch(uv, k, d)  # a non-finite point misses the plane
+    und, failures = _undistort_uv(uv, k, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # a pixel far out may normalize to inf
+        norm = _normalize_uv(und, k)
     (spread,), (mean_depth,) = _depth_stats(
         norm, visible, [orientation.roll], [orientation.pitch], c0, failures
     )

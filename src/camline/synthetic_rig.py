@@ -29,6 +29,7 @@ from .core_geometry import (
     _project_uv,
     _require_int,
     _require_real,
+    _require_types,
     rotation_xz,
 )
 from .errors import ConfigError, TooFewVisible
@@ -64,10 +65,8 @@ class SyntheticScene:
     image_height: int = 720
 
     def __post_init__(self) -> None:
-        for name, kind in (("ground_truth", Orientation), ("sc", SceneConstraints),
-                           ("k", Intrinsics), ("d", DistortionCoefficients)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
+        _require_types(self, {"ground_truth": Orientation, "sc": SceneConstraints,
+                              "k": Intrinsics, "d": DistortionCoefficients})
         for name, least in (("n_points", 2), ("rng_seed", 0), ("image_width", 1),
                             ("image_height", 1)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
@@ -189,13 +188,13 @@ class SweepConfig:
     k1_scales: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_scene, SyntheticScene):
-            raise ConfigError(f"base_scene must be SyntheticScene, got {self.base_scene!r}")
+        _require_types(self, {"base_scene": SyntheticScene})
         # Float tuples, so that an int axis value still writes as "1.0" in the sweep CSV.
         for name, least in (("noise_sigmas", 0), ("k1_scales", None), ("roll_range", None),
                             ("pitch_range", None)):
             values = getattr(self, name)
-            if not isinstance(values, Sequence) and np.ndim(values) != 1:
+            text = isinstance(values, (str, bytes, bytearray))  # a Sequence, not of numbers
+            if text or not isinstance(values, Sequence) and np.ndim(values) != 1:
                 raise ConfigError(f"{name} must be a sequence of numbers, got {values!r}")
             values = tuple(_require_real(name, v, least=least) for v in values)
             object.__setattr__(self, name, values)
@@ -239,17 +238,11 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
         uv, visible = _observe(base, ideal, d, noise, np.array(sigmas))
         uv, visible = uv.reshape(-1, n, 2), visible.reshape(-1, n)
         n_visible = visible.sum(axis=-1).tolist()
-        rendered = [t for t, count in enumerate(n_visible) if count >= 2]
-        estimated = {}
-        if rendered:
-            estimates = _estimate(uv[rendered], visible[rendered], base.k, d, base.sc)
-            estimated = dict(zip(rendered, zip(*estimates)))
+        estimates = _estimate(uv, visible, base.k, d, base.sc)
         outcomes = []
-        for t, count in enumerate(n_visible):
+        for t, (count, roll, pitch, spread, _, failure) in enumerate(zip(n_visible, *estimates)):
             if count < 2:
                 failure = _too_few_visible(count, base)
-            else:
-                roll, pitch, spread, _, failure = estimated[t]
             if failure is None:
                 pose = poses[t % len(poses)]
                 outcomes.append((roll - pose.roll, pitch - pose.pitch, spread, count, None))

@@ -3,15 +3,15 @@
 Every real field of the public dataclasses takes a Python or numpy int or
 float, never a bool, that is finite; every int field takes a Python or numpy
 int, never a bool; every tuple field takes a sequence or a 1-D array of such
-reals; every field typed as a camline dataclass takes an instance of it.
-Anything else raises :class:`ConfigError`, a ``ValueError``, whose message
-starts with the field's name.  The fields are read from
-``dataclasses.fields``, and each must fall under one of these rules, so a
-field added later is covered too.
+reals, never a string or bytes; every field typed as a camline dataclass
+takes an instance of it.  Anything else raises :class:`ConfigError`, a
+``ValueError``, whose message starts with the field's name.  The fields are
+read from ``dataclasses.fields``, and each must fall under one of these
+rules, so a field added later is covered too.
 
-``_require_real`` and ``_require_int`` in ``core_geometry.py`` decide this;
-the AST checks at the end keep any other module from defining its own
-validator or raising ``ValueError`` itself.
+``_require_real``, ``_require_int`` and ``_require_types`` in
+``core_geometry.py`` decide this; the AST checks at the end keep any other
+module from defining its own validator or raising ``ValueError`` itself.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from camline import (
+    CameraConfig,
     ConfigError,
     DistortionCoefficients,
     Intrinsics,
@@ -54,6 +55,7 @@ VALID = {
         base_scene=SCENE, noise_sigmas=(0.0,), roll_range=(-0.1, 0.1),
         pitch_range=(0.4, 0.8), seeds_per_cell=1,
     ),
+    CameraConfig: dict(intrinsics=K, distortion=DistortionCoefficients(), scene=SC),
 }
 TUPLES = ("tuple[float, ...]", "tuple[float, float]")
 REAL = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type in ("float", *TUPLES)]
@@ -78,7 +80,7 @@ def _cases(pairs: list, values: list) -> list:
 
 
 def test_every_checked_field_is_covered():
-    assert (len(REAL), len(INT), len(SEQUENCE), len(OBJECT)) == (22, 6, 4, 5)
+    assert (len(REAL), len(INT), len(SEQUENCE), len(OBJECT)) == (22, 6, 4, 8)
     every = {(cls, f.name) for cls in VALID for f in fields(cls)}
     assert every == set(REAL) | set(INT) | set(OBJECT)
     for cls, kwargs in VALID.items():
@@ -119,7 +121,10 @@ def test_an_int_field_keeps_an_int_as_a_python_int(cls, name, value):
 
 @pytest.mark.parametrize(
     "cls, name, value",
-    _cases(SEQUENCE, [("float", 0.5), ("None", None), ("set", {0.0, 1.0}), ("0-d", np.array(0.5))]),
+    _cases(SEQUENCE, [
+        ("float", 0.5), ("None", None), ("set", {0.0, 1.0}), ("0-d", np.array(0.5)),
+        ("str", "0.5"), ("bytes", b"05"), ("bytearray", bytearray(b"05")),
+    ]),
 )
 def test_a_tuple_field_refuses_a_non_sequence_by_name(cls, name, value):
     with pytest.raises(ConfigError, match=f"^{name} must be a sequence of numbers, got "):
@@ -219,6 +224,6 @@ def test_no_module_raises_value_error_itself(path):
 def test_the_validators_are_defined_only_in_core_geometry():
     homes = {
         name: [path.name for path in SOURCES if name in defined_functions(path.read_text())]
-        for name in ("_require_real", "_require_int")
+        for name in ("_require_real", "_require_int", "_require_types")
     }
-    assert homes == {"_require_real": ["core_geometry.py"], "_require_int": ["core_geometry.py"]}
+    assert homes == dict.fromkeys(homes, ["core_geometry.py"])

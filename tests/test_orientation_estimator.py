@@ -506,6 +506,37 @@ class TestEstimateOrientation:
         assert pitches[1] == pytest.approx(est.orientation.pitch, abs=1e-12)
         assert spreads[1] == pytest.approx(est.residual_z_spread, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "d",
+        [DistortionCoefficients(), DistortionCoefficients(k1=-1e-7, p1=1e-6)],
+        ids=["no_lens", "mild_lens"],
+    )
+    def test_a_batch_carries_its_failed_observations_to_the_end(self, default_k, sc, d):
+        # Every observation runs through every stage; a bad one records its
+        # named failure, and the good one's numbers are those it gets alone.
+        scene = _scene(0.05, 0.6, default_k, d, sc, noise_sigma=0.5, rng_seed=3)
+        good = render_line(scene).uv_array()
+        n = len(good)
+        none_visible = np.full((n, 2), 500.0)
+        none_visible[0] = np.nan
+        one_visible = np.full((n, 2), np.nan)
+        one_visible[n // 2] = good[n // 2]
+        far = good.copy()
+        far[n // 2, 0] = 1e300
+        visible = np.ones((4, n), dtype=bool)
+        visible[1] = False
+        visible[2] = np.arange(n) == n // 2
+        batch = _estimate(
+            np.stack([good, none_visible, one_visible, far]), visible, default_k, d, sc
+        )
+        *numbers, failures = batch
+        assert failures[0] is None
+        assert [type(f) for f in failures[1:]] == [NonConvergent, DegenerateLine, NonConvergent]
+        alone = _estimate(good[None], np.ones((1, n), dtype=bool), default_k, d, sc)
+        assert alone[-1] == [None]
+        assert [column[0] for column in numbers] == [column[0] for column in alone[:-1]]
+
 
 class TestResidualZSpread:
     def test_ground_truth_orientation_has_tiny_spread(self, default_k, zero_d, sc):
@@ -711,6 +742,46 @@ class TestSymmetries:
         assert scaled.orientation == est.orientation
         assert scaled.residual_z_spread == 8.0 * est.residual_z_spread
         assert scaled.residual_z_bias == 8.0 * est.residual_z_bias
+
+    @given(
+        roll=st.floats(min_value=-0.1, max_value=0.1),
+        pitch=st.floats(min_value=0.4, max_value=0.8),
+        delta=st.floats(min_value=-0.5, max_value=0.5),
+        k1=st.floats(min_value=-3e-7, max_value=3e-7),
+        k2=st.floats(min_value=-1e-13, max_value=1e-13),
+        p1=st.floats(min_value=-1e-6, max_value=1e-6),
+        p2=st.floats(min_value=-1e-6, max_value=1e-6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_rotated_pixels_give_the_rotated_roll(self, roll, pitch, delta, k1, k2, p1, p2, seed):
+        # In complex offsets z from the principal point the lens map is
+        # z*radial(|z|^2) + 2|z|^2*P + z^2*conj(P), with P = p1 + i*p2.
+        # Rotating z by delta and P with it rotates the map's output by
+        # delta, and with fx = fy and no skew so does intrinsic
+        # normalisation: roll -> roll + delta, while the line's distance
+        # from the principal point, and so pitch and spread, stay.  2,000
+        # seeded scenes moved roll by at most 3.3e-16 rad, pitch by 2.2e-16
+        # rad and spread by 3.6e-15 m; the bounds leave a margin of about 300.
+        k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
+        sc = SceneConstraints(c0=2.0, z0=3.0)
+        d = DistortionCoefficients(k1=k1, k2=k2, p1=p1, p2=p2)
+        obs = render_line(_scene(roll, pitch, k, d, sc, noise_sigma=0.5, rng_seed=seed))
+        turn = complex(math.cos(delta), math.sin(delta))
+        z = (obs.uv_array() - (k.cx, k.cy)) @ np.array([1.0, 1.0j]) * turn
+        rotated_obs = ReferenceLineObservation(np.column_stack([z.real + k.cx, z.imag + k.cy]))
+        p = complex(p1, p2) * turn
+        rotated_d = replace(d, p1=p.real, p2=p.imag)
+        try:
+            est = estimate_orientation(obs, k, d, sc)
+        except GeometryError as exc:
+            with pytest.raises(type(exc)):
+                estimate_orientation(rotated_obs, k, rotated_d, sc)
+            return
+        rotated = estimate_orientation(rotated_obs, k, rotated_d, sc)
+        assert abs(rotated.orientation.roll - (est.orientation.roll + delta)) <= 1e-13
+        assert abs(rotated.orientation.pitch - est.orientation.pitch) <= 1e-13
+        assert abs(rotated.residual_z_spread - est.residual_z_spread) <= 1e-12
 
 
 class TestOracleEquivalence:
