@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
 
-from .core_geometry import DistortionCoefficients, Intrinsics, SceneConstraints, _require_types
+from .core_geometry import (
+    DistortionCoefficients, Intrinsics, SceneConstraints, _check_fields, _field_types,
+)
 from .errors import ConfigError
 
 __all__ = ["CameraConfig", "load_camera_config"]
@@ -36,8 +37,7 @@ class CameraConfig:
     scene: SceneConstraints
 
     def __post_init__(self) -> None:
-        _require_types(self, {"intrinsics": Intrinsics, "distortion": DistortionCoefficients,
-                              "scene": SceneConstraints})
+        _check_fields(self)
 
 
 def _section(doc: dict, name: str, cls: type):
@@ -78,7 +78,7 @@ def load_camera_config(path: str | Path) -> CameraConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
 
-    sections = get_type_hints(CameraConfig)
+    sections = _field_types(CameraConfig)
     for key in doc:
         if key not in sections:
             raise ConfigError(f"unknown config field '{key}'")

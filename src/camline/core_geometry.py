@@ -41,7 +41,10 @@ distortion map is the identity.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cache
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -91,20 +94,38 @@ def _require_real(
     return value
 
 
-def _require_int(name: str, value: object, least: int) -> int:
-    """:func:`_require_real` for a Python or numpy int, never a bool: ``value`` as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
-    return int(value)
+@cache
+def _field_types(cls: type) -> dict[str, object]:
+    """``get_type_hints(cls)``, resolved once per class and shared, so callers only read it."""
+    return get_type_hints(cls)
 
 
-def _require_types(obj: object, types: dict[str, type]) -> None:
-    """:class:`ConfigError` naming the first field of ``obj`` that is not its type in ``types``."""
-    for name, kind in types.items():
-        if not isinstance(getattr(obj, name), kind):
-            raise ConfigError(f"{name} must be {kind.__name__}, got {getattr(obj, name)!r}")
+def _check_fields(obj: object, above: Mapping = {}, least: Mapping = {}) -> None:
+    """Check and store each field of ``obj`` in declaration order, by its declared type.
+
+    ``float``: :func:`_require_real`, kept as a float (an int writes as ``1.0`` in the
+    sweep CSV); ``int``: a Python or numpy int, never a bool; ``tuple``: a sequence or
+    1-D array of reals, never text, kept as a float tuple; any other class: an instance
+    of it.  ``above`` (>) and ``least`` (>=) map a field to its bound, and are only read.
+    """
+    for name, kind in _field_types(obj.__class__).items():
+        value = getattr(obj, name)
+        if kind is float:
+            value = _require_real(name, value, above.get(name), least.get(name))
+        elif kind is int:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if name in least and value < least[name]:
+                raise ConfigError(f"{name} must be >= {least[name]}, got {value}")
+            value = int(value)
+        elif get_origin(kind) is tuple:
+            text = isinstance(value, (str, bytes, bytearray))  # a Sequence, not of numbers
+            if text or not isinstance(value, Sequence) and np.ndim(value) != 1:
+                raise ConfigError(f"{name} must be a sequence of numbers, got {value!r}")
+            value = tuple(_require_real(name, v, above.get(name), least.get(name)) for v in value)
+        elif not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -122,8 +143,7 @@ class Intrinsics:
     skew: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, above in (("fx", 0), ("fy", 0), ("cx", None), ("cy", None), ("skew", None)):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name), above))
+        _check_fields(self, above={"fx": 0, "fy": 0})
 
 
 @dataclass(frozen=True)
@@ -140,8 +160,7 @@ class DistortionCoefficients:
     p2: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("k1", "k2", "k3", "p1", "p2"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -152,8 +171,7 @@ class SceneConstraints:
     z0: float
 
     def __post_init__(self) -> None:
-        for name in ("c0", "z0"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name), above=0))
+        _check_fields(self, above={"c0": 0, "z0": 0})
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,8 +187,7 @@ class PixelPoint:
     v: float
 
     def __post_init__(self) -> None:
-        for name in ("u", "v"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -181,8 +198,7 @@ class Orientation:
     pitch: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("roll", "pitch"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        _check_fields(self)
 
 
 # ---------------------------------------------------------------------------

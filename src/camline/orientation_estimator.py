@@ -79,8 +79,10 @@ class ReferenceLineObservation:
             ) from None
         if arr.dtype.kind not in "iuf":
             raise ConfigError(f"pixels must be real numbers, got an array of {arr.dtype}")
-        # Always a new C-ordered array, never the caller's own.
-        arr = np.array(arr, dtype=float, order="C")
+        if arr.dtype.itemsize > 8:  # a longdouble past the float range becomes inf, named below
+            with np.errstate(over="ignore"):
+                arr = arr.astype(float)
+        arr = np.array(arr, dtype=float, order="C")  # always a new array, never the caller's own
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ConfigError(f"expected an (N, 2) array of pixels, got shape {arr.shape}")
         finite = np.isfinite(arr)

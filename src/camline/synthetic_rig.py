@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -24,12 +23,10 @@ from .core_geometry import (
     Intrinsics,
     Orientation,
     SceneConstraints,
+    _check_fields,
     _distort_components,
     _distort_jacobian,
     _project_uv,
-    _require_int,
-    _require_real,
-    _require_types,
     rotation_xz,
 )
 from .errors import ConfigError, TooFewVisible
@@ -65,14 +62,8 @@ class SyntheticScene:
     image_height: int = 720
 
     def __post_init__(self) -> None:
-        _require_types(self, {"ground_truth": Orientation, "sc": SceneConstraints,
-                              "k": Intrinsics, "d": DistortionCoefficients})
-        for name, least in (("n_points", 2), ("rng_seed", 0), ("image_width", 1),
-                            ("image_height", 1)):
-            object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
-        # Floats, so that an int sigma still writes as "0.0" in the sweep CSV.
-        for name, above, least in (("line_x_extent", 0, None), ("noise_sigma", None, 0)):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name), above, least))
+        _check_fields(self, above={"line_x_extent": 0}, least={
+            "n_points": 2, "noise_sigma": 0, "rng_seed": 0, "image_width": 1, "image_height": 1})
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +94,8 @@ def _line_pixels(scene: SyntheticScene, poses: list[Orientation]) -> np.ndarray:
     Rows with depth <= 0 are NaN, which is off the unfolded branch.
     """
     n = scene.n_points
-    xs = np.linspace(-scene.line_x_extent, scene.line_x_extent, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge extent gives non-finite rows
+        xs = np.linspace(-scene.line_x_extent, scene.line_x_extent, n)
     world = np.column_stack([xs, np.full(n, scene.sc.c0), np.full(n, scene.sc.z0)])
     pitches, rolls = np.array([(pose.pitch, pose.roll) for pose in poses]).T
     return _project_uv(world, scene.k, DistortionCoefficients(), rotation_xz(pitches, rolls))
@@ -123,14 +115,13 @@ def _observe(
     [0, image_height)`` image whose ideal pixel is on the unfolded branch of
     the lens map (past the fold, undistortion finds a different point).
     """
-    # A focal length far above the image can put ideal pixels where the
-    # lens polynomial overflows.  Such a row comes out non-finite, and the
-    # image bounds or the fold test drop it.
+    # A focal length far above the image or a sigma near the float limit overflows;
+    # such a row comes out non-finite, and the image bounds or the fold test drop it.
     with np.errstate(over="ignore", invalid="ignore"):
         u, v, dx, dy, r2, radial = _distort_components(ideal[..., 0], ideal[..., 1], scene.k, d)
         *_, det = _distort_jacobian(dx, dy, r2, radial, d)
+        uv = np.stack([u, v], axis=-1) + np.multiply.outer(sigmas, noise)
     unfolded = (radial > 0.0) & (det > 0.0)
-    uv = np.stack([u, v], axis=-1) + np.multiply.outer(sigmas, noise)
     u, v = uv[..., 0], uv[..., 1]
     inside = (u >= 0.0) & (u < scene.image_width) & (v >= 0.0) & (v < scene.image_height)
     return uv, unfolded & inside
@@ -188,22 +179,13 @@ class SweepConfig:
     k1_scales: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        _require_types(self, {"base_scene": SyntheticScene})
-        # Float tuples, so that an int axis value still writes as "1.0" in the sweep CSV.
-        for name, least in (("noise_sigmas", 0), ("k1_scales", None), ("roll_range", None),
-                            ("pitch_range", None)):
-            values = getattr(self, name)
-            text = isinstance(values, (str, bytes, bytearray))  # a Sequence, not of numbers
-            if text or not isinstance(values, Sequence) and np.ndim(values) != 1:
-                raise ConfigError(f"{name} must be a sequence of numbers, got {values!r}")
-            values = tuple(_require_real(name, v, least=least) for v in values)
-            object.__setattr__(self, name, values)
-        for name in ("seeds_per_cell", "base_seed"):
-            object.__setattr__(self, name, _require_int(name, getattr(self, name), 0))
+        _check_fields(self, least={"noise_sigmas": 0, "seeds_per_cell": 0, "base_seed": 0})
         for name in ("roll_range", "pitch_range"):
             span = getattr(self, name)
             if not (len(span) == 2 and span[0] <= span[1]):
                 raise ConfigError(f"{name} must be (lo, hi) with lo <= hi, got {span!r}")
+            if not math.isfinite(span[1] - span[0]):  # numpy cannot draw from it
+                raise ConfigError(f"{name} must have a finite width hi - lo, got {span!r}")
 
 
 def sweep(config: SweepConfig) -> list[TrialReport]:

@@ -5,18 +5,22 @@ float, never a bool, that is finite; every int field takes a Python or numpy
 int, never a bool; every tuple field takes a sequence or a 1-D array of such
 reals, never a string or bytes; every field typed as a camline dataclass
 takes an instance of it.  Anything else raises :class:`ConfigError`, a
-``ValueError``, whose message starts with the field's name.  The fields are
-read from ``dataclasses.fields``, and each must fall under one of these
-rules, so a field added later is covered too.
+``ValueError``, whose message starts with the field's name; when several
+fields are bad, the first in declaration order is named.  A real field
+without a bound accepts a negative value.  The fields are read from
+``dataclasses.fields``, and each must fall under one of these rules, so a
+field added later is covered too.
 
-``_require_real``, ``_require_int`` and ``_require_types`` in
-``core_geometry.py`` decide this; the AST checks at the end keep any other
-module from defining its own validator or raising ``ValueError`` itself.
+``_check_fields`` in ``core_geometry.py`` decides this: it checks each field
+by the type the field is declared with, through ``_require_real`` for a real.
+The AST checks at the end keep any other module from defining its own
+validator or raising ``ValueError`` itself.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -63,6 +67,9 @@ INT = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type == "int"]
 SEQUENCE = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type in TUPLES]
 CLASSES = {cls.__name__: cls for cls in VALID}
 OBJECT = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type in CLASSES]
+# Every real field with a bound; the others take any finite value, negative ones too.
+BOUNDED = {"fx", "fy", "c0", "z0", "line_x_extent", "noise_sigma", "noise_sigmas"}
+UNBOUNDED = [(cls, name) for cls, name in REAL if name not in BOUNDED]
 
 
 def _build(cls: type, name: str, value: object):
@@ -80,7 +87,7 @@ def _cases(pairs: list, values: list) -> list:
 
 
 def test_every_checked_field_is_covered():
-    assert (len(REAL), len(INT), len(SEQUENCE), len(OBJECT)) == (22, 6, 4, 8)
+    assert (len(REAL), len(INT), len(SEQUENCE), len(OBJECT), len(UNBOUNDED)) == (22, 6, 4, 8, 15)
     every = {(cls, f.name) for cls in VALID for f in fields(cls)}
     assert every == set(REAL) | set(INT) | set(OBJECT)
     for cls, kwargs in VALID.items():
@@ -106,11 +113,12 @@ def test_an_int_field_refuses_a_non_int_by_name(cls, name, value):
 
 @pytest.mark.parametrize(
     "cls, name, value",
-    _cases(REAL, [("int", 1), ("int64", np.int64(1)), ("float32", np.float32(1))]),
+    _cases(REAL, [("int", 1), ("int64", np.int64(1)), ("float32", np.float32(1))])
+    + _cases(UNBOUNDED, [("negative", -1.5), ("negative-int", -2)]),
 )
 def test_a_real_field_keeps_a_number_as_a_python_float(cls, name, value):
     got = getattr(_build(cls, name, value), name)
-    assert all(type(x) is float and x == 1.0 for x in (got if isinstance(got, tuple) else [got]))
+    assert all(type(x) is float and x == value for x in (got if isinstance(got, tuple) else [got]))
 
 
 @pytest.mark.parametrize("cls, name, value", _cases(INT, [("int", 2), ("int64", np.int64(2))]))
@@ -157,6 +165,24 @@ def test_a_dataclass_field_refuses_another_camline_dataclass(cls, name):
     with pytest.raises(ConfigError) as info:
         cls(**{**VALID[cls], name: other})
     assert str(info.value) == f"{name} must be {kind.__name__}, got {other!r}"
+
+
+# Two bad fields, passed later one first: every pair of a class's fields set
+# to None, and two with values out of bounds or of the wrong type.
+FIRST_BAD = [
+    pytest.param(cls, {later: None, first: None}, first, id=f"{cls.__name__}.{first}-{later}")
+    for cls in VALID
+    for first, later in itertools.combinations([f.name for f in fields(cls)], 2)
+] + [
+    pytest.param(SyntheticScene, dict(line_x_extent=0, n_points=1), "line_x_extent"),
+    pytest.param(SweepConfig, dict(k1_scales="x", seeds_per_cell=-1), "seeds_per_cell"),
+]
+
+
+@pytest.mark.parametrize("cls, bad, named", FIRST_BAD)
+def test_the_first_bad_field_in_declaration_order_is_named(cls, bad, named):
+    with pytest.raises(ConfigError, match=f"^{named} must be "):
+        cls(**{**VALID[cls], **bad})
 
 
 def test_config_error_is_a_value_error():
@@ -224,6 +250,6 @@ def test_no_module_raises_value_error_itself(path):
 def test_the_validators_are_defined_only_in_core_geometry():
     homes = {
         name: [path.name for path in SOURCES if name in defined_functions(path.read_text())]
-        for name in ("_require_real", "_require_int", "_require_types")
+        for name in ("_require_real", "_check_fields")
     }
     assert homes == dict.fromkeys(homes, ["core_geometry.py"])

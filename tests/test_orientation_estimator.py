@@ -83,6 +83,12 @@ class TestObservation:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
             ReferenceLineObservation.from_array(uv)
 
+    def test_a_longdouble_past_the_float_range_is_named_as_infinite(self):
+        # The cast to float overflows to inf with no numpy warning; the finite check names it.
+        uv = np.array([["1e400", "2"], ["3", "4"]], dtype=np.longdouble)
+        with pytest.raises(ConfigError, match="^u must be finite, got inf$"):
+            ReferenceLineObservation(uv)
+
     def test_from_array_names_the_first_non_finite_value_in_row_order(self):
         with pytest.raises(ValueError, match="^v must be finite, got nan$"):
             ReferenceLineObservation.from_array([[1.0, math.nan], [math.inf, 2.0]])
@@ -782,6 +788,48 @@ class TestSymmetries:
         assert abs(rotated.orientation.roll - (est.orientation.roll + delta)) <= 1e-13
         assert abs(rotated.orientation.pitch - est.orientation.pitch) <= 1e-13
         assert abs(rotated.residual_z_spread - est.residual_z_spread) <= 1e-12
+
+    def test_pixel_noise_moves_roll_and_pitch_as_the_line_fit_predicts(self):
+        # No lens, fx = fy, no skew.  Pixel noise sigma is s = sigma/f in
+        # normalized units on both axes, and to first order the orthogonal
+        # fit gives var(roll) = s^2/sum(t_i^2), with t_i each point's
+        # along-line offset from the centroid, and var(height) = s^2/N at
+        # the centroid.  The height at the origin moves with roll by
+        # -(x_mean*cos(roll) + y_mean*sin(roll)), and pitch =
+        # atan2(c0, z0) - atan(height), which gives var(pitch).  The z-scores
+        # of 400 scenes per sigma then have an RMS of 1 with a standard error
+        # of about 0.035 per sigma and 0.018 pooled.  Over 12 seeds the
+        # pooled RMS was 0.971-1.043 and each sigma's 0.88-1.11.  Fitting
+        # through the two extreme pixels only gives RMS values of several.
+        k = Intrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0)
+        sc = SceneConstraints(c0=2.0, z0=3.0)
+        rng = np.random.default_rng(0)
+        pooled = []
+        for sigma in (0.25, 0.5, 1.0, 2.0):
+            z = []
+            for _ in range(400):
+                roll, pitch = rng.uniform(-0.1, 0.1), rng.uniform(0.4, 0.8)
+                seed = int(rng.integers(2**31))
+                obs = render_line(_scene(roll, pitch, k, sc=sc, noise_sigma=sigma, rng_seed=seed))
+                est = estimate_orientation(obs, k, DistortionCoefficients(), sc).orientation
+                xy = _normalize_uv(obs.uv_array(), k)
+                x_mean, y_mean = xy.mean(axis=0)
+                cos, sin = math.cos(est.roll), math.sin(est.roll)
+                t = (xy[:, 0] - x_mean) * cos + (xy[:, 1] - y_mean) * sin
+                height = cos * y_mean - sin * x_mean
+                s2 = (sigma / k.fx) ** 2
+                var_roll = s2 / np.sum(t * t)
+                coupling = (x_mean * cos + y_mean * sin) ** 2 * var_roll
+                var_pitch = (s2 / len(xy) + coupling) / (1.0 + height**2) ** 2
+                z.append((
+                    (est.roll - roll) / math.sqrt(var_roll),
+                    (est.pitch - pitch) / math.sqrt(var_pitch),
+                ))
+            rms = np.sqrt(np.mean(np.square(z), axis=0))
+            assert ((0.85 <= rms) & (rms <= 1.15)).all(), (sigma, rms)
+            pooled += z
+        rms = np.sqrt(np.mean(np.square(pooled), axis=0))
+        assert ((0.95 <= rms) & (rms <= 1.05)).all(), rms
 
 
 class TestOracleEquivalence:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from camline import (
+    ConfigError,
     DistortionCoefficients,
     GeometryError,
     Orientation,
@@ -117,6 +118,19 @@ class TestRenderLine:
     def test_level_camera_sees_nothing(self, base_scene):
         with pytest.raises(TooFewVisible):
             render_line(replace(base_scene, ground_truth=Orientation(roll=0.0, pitch=0.0)))
+
+    def test_a_sigma_near_the_float_limit_leaves_no_point_visible(self, base_scene):
+        # sigma * noise overflows, or lands far outside the image, with no numpy warning.
+        with pytest.raises(TooFewVisible, match="^only 0 of 101 "):
+            render_line(replace(base_scene, noise_sigma=1e308))
+        config = SweepConfig(base_scene, (1e308,), (-0.05, 0.05), (0.5, 0.65), seeds_per_cell=2)
+        failures = [r.failure for r in sweep(config)]
+        assert len(failures) == 2 and all(f.startswith("TooFewVisible: only 0 ") for f in failures)
+
+    def test_an_extent_near_the_float_limit_leaves_too_few_visible(self, base_scene):
+        # The line's width overflows in linspace, with no numpy warning.
+        with pytest.raises(TooFewVisible):
+            render_line(replace(base_scene, line_x_extent=1e308))
 
     def test_image_size_comes_from_the_scene(self, base_scene):
         full = render_line(base_scene).uv_array()
@@ -235,6 +249,12 @@ class TestSweep:
     def test_axis_values_must_be_real_numbers(self, base_scene, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
             self._config(base_scene, **{field: (0.5, value)})
+
+    @pytest.mark.parametrize("field", ["roll_range", "pitch_range"])
+    def test_a_range_of_infinite_width_is_refused(self, base_scene, field):
+        # Both ends are finite, but numpy cannot draw from a range this wide.
+        with pytest.raises(ConfigError, match=f"^{field} must have a finite width hi - lo, got "):
+            self._config(base_scene, **{field: (-1e308, 1e308)})
 
     def test_empty_grid(self, base_scene):
         assert sweep(self._config(base_scene, noise_sigmas=())) == []
