@@ -3,9 +3,9 @@
 Inputs are pixel samples along a straight scene line at known camera height
 ``c0`` and known depth ``z0`` (see :class:`~camline.core_geometry.SceneConstraints`).
 One orthogonal-regression line is fitted through every undistorted sample:
-roll is its image angle, pitch comes from its de-rolled height.  A residual
-diagnostic takes each sample's depth on the plane from its own de-rolled
-height and reports how far the depths are from being constant and from ``z0``.
+roll is its image angle, pitch comes from its de-rolled height.  The fit hands
+each sample's own de-rolled height to a residual diagnostic, which takes its
+depth on the plane and reports how far the depths are from constant and ``z0``.
 
 Each stage is one kernel over a batch of T observations of N pixels,
 ``(T, N, 2)`` with a ``(T, N)`` mask of the rows to use, that records a
@@ -151,8 +151,8 @@ def _pitch(heights: list[float], sc: SceneConstraints) -> list[float]:
 
     The line lies ``atan2(c0, z0)`` below the horizontal, and the de-rolled
     camera sees it ``atan(y')`` below its optical axis, with ``y'`` the
-    de-rolled height ``cos(roll)*yn - sin(roll)*xn``, the same at every point
-    of the line.  The pitch is their difference, in (-pi/2, pi) for every
+    de-rolled height (:func:`_derolled`), the same at every point of the
+    line.  The pitch is their difference, in (-pi/2, pi) for every
     finite ``y'``: back-projecting the de-rolled point ``(0, y')`` through
     ``rotation_xz(pitch, 0)`` lands at depth ``z0`` exactly.
     """
@@ -167,10 +167,10 @@ def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[
     ``visible`` (..., N) marks the rows to fit.  Returns ``(roll, height)``,
     one float per observation (leading axes flattened) in each: the angle
     ``0.5*atan2(2*Sxy, Sxx - Syy)`` of the centred scatter's principal axis,
-    wrapped into (-pi/2, pi/2], and the de-rolled height
-    ``cos(roll)*yn - sin(roll)*xn`` of the centroid, which every point of
-    the fitted line shares (Pearson 1901).  Both are NaN where no row is
-    visible, or where the scatter overflowed: it fixes no direction then.
+    wrapped into (-pi/2, pi/2], and the de-rolled height (:func:`_derolled`)
+    of the centroid, which every point of the fitted line shares (Pearson
+    1901).  Both are NaN where no row is visible, or where the scatter
+    overflowed: it fixes no direction then.
     """
     weights = visible[..., None, :].astype(float)
     centroid = (weights @ norm)[..., 0, :] / visible.sum(axis=-1)[..., None]
@@ -192,16 +192,27 @@ def _fit_line(norm: np.ndarray, visible: np.ndarray) -> tuple[list[float], list[
     return rolls, heights
 
 
+def _derolled(norm: np.ndarray, rolls: list[float]) -> np.ndarray:
+    """(T, N) de-rolled heights ``cos(roll)*yn - sin(roll)*xn`` of (T, N, 2) points.
+
+    One roll per observation.  A point's ray depends on the point through this alone.
+    """
+    trig = np.array([f(roll) for f in (math.cos, math.sin) for roll in rolls])
+    cos_roll, sin_roll = trig.reshape(2, len(rolls), 1)
+    return cos_roll * norm[..., 1] - sin_roll * norm[..., 0]
+
+
 def _fit_observation(
     uv: np.ndarray, visible: np.ndarray, k: Intrinsics, d: DistortionCoefficients
 ) -> tuple[np.ndarray, list[float], list[float], list]:
     """Undistort, normalize, span-check and fit each observation's visible pixels.
 
-    ``uv`` is (T, N, 2) and ``visible`` (T, N).  Returns ``(norm, roll, height,
-    failures)``, with :class:`NonConvergent` or :class:`DegenerateLine`
-    recorded per observation.  Each row that is not visible becomes a copy of
-    the first visible row, or of the first row if none is, in ``norm`` too: it
-    converges, folds or diverges with that row and moves no maximum or minimum.
+    ``uv`` is (T, N, 2) and ``visible`` (T, N).  Returns ``(derolled, roll, height,
+    failures)``: the (T, N) de-rolled heights (:func:`_derolled`) for the depth stage,
+    and per observation the fitted line and :class:`NonConvergent` or
+    :class:`DegenerateLine`.  Each row that is not visible becomes a copy of the first
+    visible row, or of the first row if none is, in ``derolled`` too: it converges,
+    folds or diverges with that row and moves no maximum or minimum.
     So an observation with fewer than 2 visible rows is one pixel, and records
     ``DegenerateLine`` (span 0), or ``NonConvergent`` if that pixel is NaN.
     """
@@ -216,6 +227,7 @@ def _fit_observation(
         u, v = und[..., 0], und[..., 1]
         spans = np.hypot(u.max(axis=-1) - u.min(axis=-1), v.max(axis=-1) - v.min(axis=-1))
         rolls, heights = _fit_line(norm, visible)
+        derolled = _derolled(norm, rolls)
     for i, (span, roll) in enumerate(zip(spans.tolist(), rolls)):
         if span <= 1.0 and failures[i] is None:
             failures[i] = DegenerateLine(
@@ -223,7 +235,7 @@ def _fit_observation(
             )
         elif math.isnan(roll) and failures[i] is None:
             failures[i] = DegenerateLine("the line's scatter overflows in normalized coordinates")
-    return norm, rolls, heights, failures
+    return derolled, rolls, heights, failures
 
 
 def _batch_of_one(obs: ReferenceLineObservation) -> tuple[np.ndarray, np.ndarray]:
@@ -251,22 +263,16 @@ def central_pixel(
 
 
 def _depth_stats(
-    norm: np.ndarray,
-    visible: np.ndarray,
-    rolls: list[float],
-    pitches: list[float],
-    c0: float,
-    failures: list,
+    derolled: np.ndarray, visible: np.ndarray, pitches: list[float], c0: float, failures: list
 ) -> tuple[list[float], list[float]]:
     """Depth spread and mean depth of each observation's visible points on the plane.
 
-    ``norm`` is (T, N, 2) and ``visible`` (T, N), with one roll and pitch
-    per observation; each row that is not visible repeats another, as
-    :func:`_fit_observation` leaves them.  A point's ray
-    ``rotation_xz(pitch, roll) @ (xn, yn, 1)`` depends on it only through its
-    de-rolled height ``y' = cos(roll)*yn - sin(roll)*xn``: it descends by
-    ``sin(pitch) + cos(pitch)*y'`` and runs forward by
-    ``cos(pitch) - sin(pitch)*y'``.  It misses the plane where
+    ``derolled`` holds each point's de-rolled height ``y'`` (:func:`_derolled`),
+    (T, N), and ``visible`` (T, N), with one pitch per observation; each row
+    that is not visible repeats another, as :func:`_fit_observation` leaves
+    them.  A point's ray ``rotation_xz(pitch, roll) @ (xn, yn, 1)`` depends on
+    it only through ``y'``: it descends by ``sin(pitch) + cos(pitch)*y'`` and
+    runs forward by ``cos(pitch) - sin(pitch)*y'``.  It misses the plane where
     it descends by less than ``HORIZON_EPS`` (along or above the horizon) or
     meets it beyond the float range.  Records :class:`NoHorizonIntersection`
     for an observation with a visible point that misses; its numbers are
@@ -275,16 +281,13 @@ def _depth_stats(
     per-point mask and count are built only for an observation that
     missed.  A spread of two finite depths may still overflow to +inf.
     """
-    # (T, 1) columns: one cosine and one sine of each angle per observation,
-    # from one array of math values.
-    trig = [f(a) for angles in (rolls, pitches) for f in (math.cos, math.sin) for a in angles]
-    cos_roll, sin_roll, cos_pitch, sin_pitch = np.array(trig).reshape(4, len(rolls), 1)
+    trig = np.array([f(pitch) for f in (math.cos, math.sin) for pitch in pitches])
+    cos_pitch, sin_pitch = trig.reshape(2, len(pitches), 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        height = cos_roll * norm[..., 1] - sin_roll * norm[..., 0]
-        down = sin_pitch + cos_pitch * height
+        down = sin_pitch + cos_pitch * derolled
         # Divide first: c0 * the forward run can overflow where the depth is in range.
         scale = c0 / np.where(down < HORIZON_EPS, np.nan, down)
-        depths = (cos_pitch - sin_pitch * height) * scale
+        depths = (cos_pitch - sin_pitch * derolled) * scale
         largest, smallest = depths.max(axis=-1), depths.min(axis=-1)
         spreads = (largest - smallest).tolist()
         weights = visible[..., None, :].astype(float)
@@ -314,15 +317,16 @@ def _estimate(
 
     ``uv`` holds T observations of N pixels (T, N, 2), of which only the
     ``visible`` (T, N) rows are used.  Every observation runs through every
-    stage.  Returns one roll, pitch, depth spread and mean depth per
-    observation, and per observation ``None`` or the :class:`GeometryError`
-    it failed with, the first of ``NonConvergent``, ``DegenerateLine`` and
-    ``NoHorizonIntersection``: it alone marks a failed observation, whose
-    numbers are meaningless.
+    stage; only the fit sees the normalized points, and it hands the depth
+    stage each point's de-rolled height.  Returns one roll, pitch, depth
+    spread and mean depth per observation, and per observation ``None`` or the
+    :class:`GeometryError` it failed with, the first of ``NonConvergent``,
+    ``DegenerateLine`` and ``NoHorizonIntersection``: it alone marks a failed
+    observation, whose numbers are meaningless.
     """
-    norm, rolls, heights, failures = _fit_observation(uv, visible, k, d)
+    derolled, rolls, heights, failures = _fit_observation(uv, visible, k, d)
     pitches = _pitch(heights, sc)
-    spreads, means = _depth_stats(norm, visible, rolls, pitches, sc.c0, failures)
+    spreads, means = _depth_stats(derolled, visible, pitches, sc.c0, failures)
     return rolls, pitches, spreads, means, failures
 
 
@@ -376,9 +380,7 @@ def residual_z_spread(
     uv, visible = _batch_of_one(obs)
     und, failures = _undistort_uv(uv, k, d)
     with np.errstate(over="ignore", invalid="ignore"):  # a pixel far out may normalize to inf
-        norm = _normalize_uv(und, k)
-    (spread,), (mean_depth,) = _depth_stats(
-        norm, visible, [orientation.roll], [orientation.pitch], c0, failures
-    )
+        derolled = _derolled(_normalize_uv(und, k), [orientation.roll])
+    (spread,), (mean_depth,) = _depth_stats(derolled, visible, [orientation.pitch], c0, failures)
     _raise_first(failures)
     return spread, mean_depth

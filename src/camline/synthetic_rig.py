@@ -27,6 +27,7 @@ from .core_geometry import (
     _distort_components,
     _distort_jacobian,
     _project_uv,
+    _require_real,
     rotation_xz,
 )
 from .errors import ConfigError, TooFewVisible
@@ -186,6 +187,8 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be (lo, hi) with lo <= hi, got {span!r}")
             if not math.isfinite(span[1] - span[0]):  # numpy cannot draw from it
                 raise ConfigError(f"{name} must have a finite width hi - lo, got {span!r}")
+        for i, k1_scale in enumerate(self.k1_scales):  # sweep's lens k1 for that scale
+            _require_real(f"k1_scales[{i}] * base_scene.d.k1", self.base_scene.d.k1 * k1_scale)
 
 
 def sweep(config: SweepConfig) -> list[TrialReport]:

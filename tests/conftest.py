@@ -161,25 +161,22 @@ def undistort_no_lens_reference(uv, k: Intrinsics):
     return obs.copy(), failures
 
 
-def depth_stats_reference(norm, visible, rolls, pitches, c0: float, failures: list):
+def depth_stats_reference(derolled, visible, pitches, c0: float, failures: list):
     """``_depth_stats`` with a per-point miss mask over the whole batch, its oracle.
 
-    Marks every non-finite depth as a miss and sets it to NaN before taking
-    the spread (max - min) and the mean, so an observation with a miss
-    gets NaN numbers, and records ``NoHorizonIntersection`` with the count of
-    its visible points that miss.  ``_depth_stats`` must give the same
-    numbers, bit for bit, and the same failures.
+    Takes the same (T, N) de-rolled heights, (T, N) mask and one pitch per
+    observation.  Marks every non-finite depth as a miss and sets it to NaN
+    before taking the spread (max - min) and the mean, so an observation with
+    a miss gets NaN numbers, and records ``NoHorizonIntersection`` with the
+    count of its visible points that miss.  ``_depth_stats`` must give the
+    same numbers, bit for bit, and the same failures.
     """
-    cos_roll, sin_roll, cos_pitch, sin_pitch = (
-        np.array([f(angle) for angle in angles])[:, None]
-        for angles in (rolls, pitches)
-        for f in (math.cos, math.sin)
-    )
+    cos_pitch, sin_pitch = (np.array([f(pitch) for pitch in pitches])[:, None]
+                            for f in (math.cos, math.sin))
     with np.errstate(over="ignore", invalid="ignore"):
-        height = cos_roll * norm[..., 1] - sin_roll * norm[..., 0]
-        down = sin_pitch + cos_pitch * height
+        down = sin_pitch + cos_pitch * derolled
         scale = c0 / np.where(down < HORIZON_EPS, np.nan, down)
-        depths = (cos_pitch - sin_pitch * height) * scale
+        depths = (cos_pitch - sin_pitch * derolled) * scale
         missed = ~np.isfinite(depths)
         depths[missed] = np.nan
         for i, any_missed in enumerate(missed.any(axis=-1).tolist()):

@@ -1,5 +1,5 @@
 """Tests for ray/plane back-projection: the 3-D oracle ``plane_points`` and the
-estimator's closed-form depths (``_depth_stats``) against it."""
+estimator's closed-form depths (``_derolled`` then ``_depth_stats``) against it."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from camline import (
     rotation_xz,
 )
 from camline.core_geometry import _normalize_uv, _project_uv, _undistort_uv
-from camline.orientation_estimator import HORIZON_EPS, _depth_stats
+from camline.orientation_estimator import HORIZON_EPS, _depth_stats, _derolled
 
 from conftest import depth_stats_reference, plane_points, rotation_x
 
@@ -140,7 +140,8 @@ class TestBackProjectToPlane:
         # holds the ray at the boundary, observation 1 one that meets the plane.
         norm = np.array([[[xn, y]], [[0.0, 0.5]]])
         failures = [None, None]
-        _, means = _depth_stats(norm, np.ones((2, 1), bool), [0.0, 0.0], [0.0, 0.0], 2.0, failures)
+        _, means = _depth_stats(_derolled(norm, [0.0, 0.0]), np.ones((2, 1), bool), [0.0, 0.0],
+                                2.0, failures)
         assert isinstance(failures[0], NoHorizonIntersection) == (y < HORIZON_EPS)
         assert failures[1] is None and means[1] == 4.0
         if y < HORIZON_EPS:
@@ -154,8 +155,8 @@ class TestBackProjectToPlane:
         norm = np.array([[[0.1, 0.0], [0.2, 0.5], [0.3, 0.5]],
                          [[0.1, 0.4], [0.2, 0.5], [0.3, 0.6]]])
         failures = [None, None]
-        spreads, means = _depth_stats(norm, np.ones((2, 3), bool), [0.0, 0.0], [0.0, 0.0], 2.0,
-                                      failures)
+        spreads, means = _depth_stats(_derolled(norm, [0.0, 0.0]), np.ones((2, 3), bool),
+                                      [0.0, 0.0], 2.0, failures)
         assert isinstance(failures[0], NoHorizonIntersection)
         assert str(failures[0]).startswith("1 point(s) back-project")
         assert failures[1] is None
@@ -178,8 +179,9 @@ class TestBackProjectToPlane:
 
 
 class TestClosedFormDepth:
-    """``_depth_stats`` takes each depth from the de-rolled height alone; the
-    oracle ``plane_points`` rotates the full ray ``rot @ (xn, yn, 1)``."""
+    """``_depth_stats`` takes each depth from the de-rolled height alone, as
+    ``_derolled`` forms it; the oracle ``plane_points`` rotates the full ray
+    ``rot @ (xn, yn, 1)``."""
 
     @given(
         roll=st.floats(min_value=-1.2, max_value=1.2),
@@ -196,8 +198,8 @@ class TestClosedFormDepth:
         rot = rotation_xz(pitch, roll)
         point, missed = plane_points(np.array([xn, yn]), rot, c0)
         failures = [None]
-        _, (depth,) = _depth_stats(np.array([[[xn, yn]]]), np.ones((1, 1), bool), [roll], [pitch],
-                                   c0, failures)
+        _, (depth,) = _depth_stats(_derolled(np.array([[[xn, yn]]]), [roll]), np.ones((1, 1), bool),
+                                   [pitch], c0, failures)
         down = (rot @ [xn, yn, 1.0])[1]
         # At zero roll and pitch both descend by yn exactly, so they agree at
         # the boundary too.  Otherwise they sum the descent in different
@@ -218,8 +220,8 @@ class TestClosedFormDepth:
         # Camera pitched up, point far down the image: c0 times the forward
         # run (4.8e309) overflows, but the depth is about 0.55 * c0.
         failures = [None]
-        _, (depth,) = _depth_stats(np.array([[[0.0, 1e10]]]), np.ones((1, 1), bool), [0.0],
-                                   [-0.5], 1e300, failures)
+        _, (depth,) = _depth_stats(_derolled(np.array([[[0.0, 1e10]]]), [0.0]),
+                                   np.ones((1, 1), bool), [-0.5], 1e300, failures)
         point, missed = plane_points(np.array([0.0, 1e10]), rotation_xz(-0.5, 0.0), 1e300)
         assert failures == [None] and not missed
         assert depth == pytest.approx(point[2], rel=1e-12)
@@ -234,14 +236,16 @@ def _batch_as_fitted(norm: np.ndarray, visible: np.ndarray) -> np.ndarray:
 
 class TestDepthStatsOracle:
     """``_depth_stats`` finds a miss from each observation's largest and
-    smallest depth; the oracle ``depth_stats_reference`` masks every point."""
+    smallest depth; the oracle ``depth_stats_reference`` masks every point.
+    Both read the de-rolled heights ``_derolled`` gives for ``norm``."""
 
     @staticmethod
     def _check(norm, visible, rolls, pitches, c0, failures=None):
         failures = failures or [None] * len(norm)
         want_failures = list(failures)
-        got = _depth_stats(norm, visible, rolls, pitches, c0, failures)
-        want = depth_stats_reference(norm, visible, rolls, pitches, c0, want_failures)
+        derolled = _derolled(norm, rolls)
+        got = _depth_stats(derolled, visible, pitches, c0, failures)
+        want = depth_stats_reference(derolled, visible, pitches, c0, want_failures)
         for g, w in zip(got, want):
             assert np.array(g).tobytes() == np.array(w).tobytes()
         assert repr(failures) == repr(want_failures)

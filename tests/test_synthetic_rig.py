@@ -256,6 +256,15 @@ class TestSweep:
         with pytest.raises(ConfigError, match=f"^{field} must have a finite width hi - lo, got "):
             self._config(base_scene, **{field: (-1e308, 1e308)})
 
+    def test_a_k1_product_past_the_float_range_is_refused(self, base_scene):
+        # Each scale is finite, but the lens k1 that sweep builds from it,
+        # base k1 * scale, is not: the config names it before any trial runs.
+        scene = replace(base_scene, d=DistortionCoefficients(k1=-10.0))
+        with pytest.raises(
+            ConfigError, match=r"^k1_scales\[1\] \* base_scene\.d\.k1 must be finite, got -inf$"
+        ):
+            self._config(scene, k1_scales=(1.0, 1e308))
+
     def test_empty_grid(self, base_scene):
         assert sweep(self._config(base_scene, noise_sigmas=())) == []
         assert sweep(self._config(base_scene, seeds_per_cell=0)) == []
