@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_line_points(path: str) -> np.ndarray:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read line file {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if row]
@@ -58,14 +58,10 @@ def _read_line_points(path: str) -> np.ndarray:
     if [cell.strip() for cell in first] != ["u", "v"]:
         raise ConfigError(f"line file must start with the header 'u,v', got {first!r}")
     if len(data) < 2:
-        raise ConfigError(
-            f"line file must contain at least 2 data rows, got {len(data)}"
-        )
+        raise ConfigError(f"line file must contain at least 2 data rows, got {len(data)}")
     for line_num, row in data:
         if len(row) != 2:
-            raise ConfigError(
-                f"line file row {line_num} has {len(row)} cells; expected 2 (u,v)"
-            )
+            raise ConfigError(f"line file row {line_num} has {len(row)} cells; expected 2 (u,v)")
     try:
         return np.array([[float(u), float(v)] for _, (u, v) in data])
     except ValueError as exc:

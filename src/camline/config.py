@@ -14,6 +14,7 @@ fields all have one (``skew`` and the whole ``distortion`` section, default
 0); everything else is required.  Unknown fields anywhere are rejected by name
 so typos in coefficient names cannot silently become zeros.  A value its
 dataclass refuses reads ``section.field ...``: ``intrinsics.fy must be > 0, got 0.0``.
+A repeated key anywhere, or a file that does not decode as text, is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -60,19 +61,28 @@ def _section(doc: dict, name: str, cls: type):
         raise ConfigError(f"{name}.{exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:  # json would keep the last value
+            raise ConfigError(f"key '{key}' appears more than once")
+        doc[key] = value
+    return doc
+
+
 def load_camera_config(path: str | Path) -> CameraConfig:
     """Load and validate a camera config file.
 
     Raises:
-        ConfigError: unreadable file, malformed JSON, unknown or missing
-            fields, or field values violating a constructor invariant.
+        ConfigError: unreadable or undecodable file, malformed JSON, a repeated
+            key, unknown or missing fields, or field values violating a constructor invariant.
     """
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an integer literal past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -194,9 +194,9 @@ class SweepConfig:
 def sweep(config: SweepConfig) -> list[TrialReport]:
     """Run the full grid in deterministic grid-major order.
 
-    Each k1 scale is one batched render and estimate over every noise level
-    and seed.  Individual trial failures are recorded in their report (NaN
-    errors plus the failure message); they never abort the sweep.
+    Each k1 scale is one batched render and estimate over every noise level and seed, and
+    each trial's report is built where its batch is estimated.  Individual trial failures
+    are recorded in their report (NaN errors plus the failure message); they never abort it.
     """
     base = config.base_scene
     sigmas, k1_scales = config.noise_sigmas, config.k1_scales
@@ -215,35 +215,25 @@ def sweep(config: SweepConfig) -> list[TrialReport]:
     n = base.n_points
     noise = np.stack([np.random.default_rng(seed).standard_normal((n, 2)) for seed in seeds])
 
-    # Per k1 scale, the (roll_error, pitch_error, residual_z_spread,
-    # n_visible, failure) of each trial, noise level by noise level.
-    cells = []
+    # A k1 scale's batch runs noise level by noise level, seed by seed.  Each noise
+    # level's zip takes the next len(seeds) trials: it stops at the end of seeds first.
+    by_sigma: list[list[TrialReport]] = [[] for _ in sigmas]
     for k1_scale in k1_scales:
         d = replace(base.d, k1=base.d.k1 * k1_scale)
         uv, visible = _observe(base, ideal, d, noise, np.array(sigmas))
         uv, visible = uv.reshape(-1, n, 2), visible.reshape(-1, n)
-        n_visible = visible.sum(axis=-1).tolist()
-        estimates = _estimate(uv, visible, base.k, d, base.sc)
-        outcomes = []
-        for t, (count, roll, pitch, spread, _, failure) in enumerate(zip(n_visible, *estimates)):
-            if count < 2:
-                failure = _too_few_visible(count, base)
-            if failure is None:
-                pose = poses[t % len(poses)]
-                outcomes.append((roll - pose.roll, pitch - pose.pitch, spread, count, None))
-            else:
-                failed = f"{type(failure).__name__}: {failure}"
-                outcomes.append((math.nan, math.nan, math.nan, 0, failed))
-        cells.append(outcomes)
-
-    reports: list[TrialReport] = []
-    for s, sigma in enumerate(sigmas):
-        for k1_scale, outcomes in zip(k1_scales, cells):
-            for j, (pose, seed) in enumerate(zip(poses, seeds)):
-                reports.append(TrialReport(
-                    seed, sigma, k1_scale, pose.roll, pose.pitch, *outcomes[s * len(seeds) + j]
-                ))
-    return reports
+        trials = zip(visible.sum(axis=-1).tolist(), *_estimate(uv, visible, base.k, d, base.sc))
+        for sigma, reports in zip(sigmas, by_sigma):
+            for seed, pose, (count, roll, pitch, spread, _, failure) in zip(seeds, poses, trials):
+                if count < 2:
+                    failure = _too_few_visible(count, base)
+                if failure is None:
+                    outcome = (roll - pose.roll, pitch - pose.pitch, spread, count, None)
+                else:
+                    failed = f"{type(failure).__name__}: {failure}"
+                    outcome = (math.nan, math.nan, math.nan, 0, failed)
+                reports.append(TrialReport(seed, sigma, k1_scale, pose.roll, pose.pitch, *outcome))
+    return [report for reports in by_sigma for report in reports]
 
 
 def write_sweep_csv(reports: list[TrialReport], path: str | Path) -> None:

@@ -134,6 +134,19 @@ class TestEstimate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("undecodable", ["config", "line"])
+    def test_undecodable_file_exits_1(self, tmp_path, config_path, capsys, undecodable):
+        # A file opening with bytes ff fe 00 is not UTF-8 text.
+        line_csv = tmp_path / "line.csv"
+        line_csv.write_text("u,v\n100.0,200.0\n300.0,200.0\n")
+        path = {"config": tmp_path / "camera.json", "line": line_csv}[undecodable]
+        path.write_bytes(b"\xff\xfe\x00" + path.read_bytes())
+        rc = main(["estimate", config_path, str(line_csv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {undecodable} file {path}: ")
+        assert "Traceback" not in err
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         bad = make_config(tmp_path, intrinsics={"fy": 0.0})
         line_csv = tmp_path / "line.csv"

@@ -120,6 +120,31 @@ def test_missing_file(tmp_path):
         load_camera_config(tmp_path / "nope.json")
 
 
+def test_undecodable_file_cannot_be_read(tmp_path):
+    # Bytes ff fe 00 open a UTF-16 byte-order mark; they are not UTF-8 text.
+    path = tmp_path / "camera.json"
+    path.write_bytes(b"\xff\xfe\x00" + json.dumps(VALID).encode())
+    with pytest.raises(ConfigError, match=f"cannot read config file {path}: .*can't decode"):
+        load_camera_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (json.dumps(VALID).replace('"k1": -1e-08', '"k1": -1e-08, "k1": 0.0'), "k1"),
+        (json.dumps(VALID)[:-1] + ', "scene": {"c0": 5.0, "z0": 3.0}}', "scene"),
+    ],
+    ids=["in_a_section", "top_level"],
+)
+def test_repeated_key_is_named(tmp_path, text, key):
+    # json keeps a repeated key's last value; a strict config refuses it.
+    assert text.count(f'"{key}"') == 2
+    path = tmp_path / "camera.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"key '{key}' appears more than once"):
+        load_camera_config(path)
+
+
 def test_every_field_loads_as_written(tmp_path):
     # Every field off its default, distortion keys out of the usual order.
     doc = {
